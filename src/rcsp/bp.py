@@ -173,19 +173,19 @@ def solve_fixed_point(
     *,
     witness: bool = True,
     derivative_grid: int = 1000,
-    max_iter: int = 200,
 ) -> BpFixedPoint:
     """Solve psi(x) = x on [1/2 - 2^-k, 1/2] by bisection.
 
     Endpoint signs of g(x) = psi(x) - x are asserted before bisecting
     (g > 0 on the left, g < 0 on the right); failure raises BracketError,
-    which signals a degree outside the supported window.  When witness is
-    true, fixed-point iteration from both endpoints must land within
+    which signals a degree outside the supported window.  Bisection stops
+    at width tol or at adjacent floats, whichever comes first.  When witness
+    is true, fixed-point iteration from both endpoints must land within
     10*tol of the bisection answer, certifying uniqueness under the
     contraction property.  derivative_grid = 0 skips the grid estimate of
     sup |psi'| (useful inside dense scans).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     k = params.k
     lo, hi = _domain(k)
@@ -199,16 +199,14 @@ def solve_fixed_point(
         )
 
     a, b = lo, hi
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
+    while b - a > tol:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         if psi(params, mid) - mid > 0:
             a = mid
         else:
             b = mid
-    else:
-        raise RuntimeError(f"bisection did not reach tol={tol} in {max_iter} steps")
     x = 0.5 * (a + b)
     residual = abs(psi(params, x) - x)
 

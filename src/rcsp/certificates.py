@@ -35,6 +35,7 @@ from .bp import (
     psi_hat,
     solve_fixed_point,
 )
+from .thresholds import phi
 
 __all__ = [
     "CertificateReport",
@@ -106,22 +107,9 @@ def _alpha_k(k: int) -> mpmath.mpf:
     return front * mpmath.exp(eps) / denom
 
 
-def _phi(k: int, d, x, ctx=mpmath):
-    """Free-energy expression -ln(1-x) - d(1-1/k-1/d) ln(1-2x^k) + (d-1) ln(1-x^{k-1}).
-
-    Generic over an mpmath context: ctx = mpmath with mpf arguments gives a
-    value, an mpmath.iv context with interval arguments gives an enclosure.
-    """
-    return (
-        -ctx.log(1 - x)
-        - d * (1 - ctx.mpf(1) / k - 1 / d) * ctx.log(1 - 2 * x**k)
-        + (d - 1) * ctx.log(1 - x ** (k - 1))
-    )
-
-
 def _dphi_dx(k: int, d, x, ctx=mpmath):
-    """x-derivative of _phi: 1/(1-x) + (d(1-1/k)-1) 2k x^{k-1}/(1-2x^k)
-    - (d-1)(k-1) x^{k-2}/(1-x^{k-1}).  Generic over ctx like _phi."""
+    """x-derivative of phi: 1/(1-x) + (d(1-1/k)-1) 2k x^{k-1}/(1-2x^k)
+    - (d-1)(k-1) x^{k-2}/(1-x^{k-1}).  Generic over an mpmath context like phi."""
     return (
         1 / (1 - x)
         + (d * (1 - ctx.mpf(1) / k) - 1) * 2 * k * x ** (k - 1) / (1 - 2 * x**k)
@@ -130,7 +118,7 @@ def _dphi_dx(k: int, d, x, ctx=mpmath):
 
 
 def _dphi_dd(k: int, x, ctx=mpmath):
-    """d-derivative of _phi: -(1-1/k) ln(1-2x^k) + ln(1-x^{k-1})."""
+    """d-derivative of phi: -(1-1/k) ln(1-2x^k) + ln(1-x^{k-1})."""
     return -(1 - ctx.mpf(1) / k) * ctx.log(1 - 2 * x**k) + ctx.log(1 - x ** (k - 1))
 
 
@@ -216,14 +204,15 @@ def _parts_g5():
 
 
 def _parts_phi_k4_ubd():
-    return [(_phi(4, 32 * _ln2(), mpmath.mpf(7) / 16), mpmath.mpf("-0.08"), "<")], []
+    value = phi(ModelParams(4, 32 * _ln2()), mpmath.mpf(7) / 16, mpmath)
+    return [(value, mpmath.mpf("-0.08"), "<")], []
 
 
 def _parts_phi_ubd_half():
     parts = []
     for k in range(4, 16):
         d = mpmath.mpf(2) ** (k - 1) * k * _ln2()
-        parts.append((_phi(k, d, mpmath.mpf(1) / 2), mpmath.mpf(0), "<"))
+        parts.append((phi(ModelParams(k, d), mpmath.mpf(1) / 2, mpmath), mpmath.mpf(0), "<"))
     return parts, []
 
 
@@ -249,11 +238,13 @@ def _parts_psi_bracket():
 
 
 def _parts_phi_left():
-    return [(_phi(3, mpmath.mpf("6.74"), mpmath.mpf("0.4464")), mpmath.mpf("4e-5"), ">")], []
+    value = phi(ModelParams(3, mpmath.mpf("6.74")), mpmath.mpf("0.4464"), mpmath)
+    return [(value, mpmath.mpf("4e-5"), ">")], []
 
 
 def _parts_phi_right():
-    return [(_phi(3, mpmath.mpf("7.5"), mpmath.mpf("0.48")), mpmath.mpf("-0.04"), "<")], []
+    value = phi(ModelParams(3, mpmath.mpf("7.5")), mpmath.mpf("0.48"), mpmath)
+    return [(value, mpmath.mpf("-0.04"), "<")], []
 
 
 def _parts_dphi_grids():
@@ -484,7 +475,7 @@ def _phi_star_enclosure(iv, k: int, d: int):
     )
     if not (krawczyk in box and box in iv.mpf(_domain(k))):
         return None
-    return _phi(k, params.d, center, iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - center)
+    return phi(params, center, iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - center)
 
 
 def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:

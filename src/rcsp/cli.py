@@ -11,13 +11,15 @@ Output is CSV by default (one header line, one row per record) or JSON with
 round-trip exactly; exact rationals are printed as p/q.  A fixed invocation,
 seed included, always produces byte-identical output.  Exit codes: 0 on
 success, 1 when flags or inputs fail validation, 2 when a computation gives
-up (no bracket, support blowup, retry exhaustion).
+up (no bracket, support blowup, retry exhaustion, a solver failing its own
+check).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,26 +29,22 @@ from fractions import Fraction
 import mpmath
 
 from .bp import BracketError, ModelParams, solve_fixed_point
-from .certificates import DEFAULT_DIGITS, evaluate, verify_all
+from .certificates import DEFAULT_DIGITS, CertificateReport, evaluate, verify_all
 from .ensemble import (
-    InstanceFormatError,
-    RetryExhaustedError,
+    ConcentrationStat,
+    GibbsSummary,
+    SweepPoint,
+    check_size,
+    concentration_experiment,
     count_solutions,
     partition_function,
     read_instance,
     sample_instance,
     sat_sweep,
-    concentration_experiment,
     write_instance,
 )
-from .firstmoment import ez_nae, p_gamma, ratio_scan
-from .interp import (
-    SupportBlowupError,
-    ThetaSpec,
-    beta_scaling_scan,
-    eta_cluster,
-    functional_exact,
-)
+from .firstmoment import FirstMomentReport, p_gamma, ratio_scan
+from .interp import ThetaSpec, beta_scaling_scan, eta_cluster, functional_exact
 from .thresholds import d_star, phi, table_rows
 
 __all__ = ["main"]
@@ -63,18 +61,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, what: str):
+    """argparse type for a comma-separated list of kind."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _cell(value) -> str:
@@ -130,19 +130,79 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_table(args) -> int:
-    headers = ["k", "d_star", "ceil_d_star", "d_first_moment", "ceil_d1"]
-    rows = [
-        [r.k, r.d_star, r.ceil_d_star, r.d_first_moment, r.ceil_d1]
-        for r in table_rows(args.kmin, args.kmax, args.tol)
-    ]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+def _records(records, columns) -> tuple[list[str], list[list]]:
+    """Headers and rows for records: columns is a dataclass (every field, in
+    declaration order) or a sequence of attribute names."""
+    if dataclasses.is_dataclass(columns):
+        columns = [f.name for f in dataclasses.fields(columns)]
+    return list(columns), [[getattr(r, c) for c in columns] for r in records]
 
 
-def _cmd_fixpoint(args) -> int:
-    params = ModelParams(args.k, args.d)
-    fp = solve_fixed_point(params, args.tol)
+def _arg(flag: str, **spec):
+    return flag, spec
+
+
+# Argument specs shared between subcommands.
+_K = _arg("--k", type=int, required=True, help="clause size")
+_D = _arg("--d", type=float, required=True, help="variable degree")
+_D_INT = _arg("--d", type=int, required=True, help="variable degree")
+_N = _arg("--n", type=int, required=True, help="number of variables")
+_N_LIST = _arg("--n", type=_int_list, required=True, help="comma-separated sizes")
+_BETA = _arg("--beta", type=float, required=True, help="inverse temperature")
+_SEED = _arg("--seed", type=int, required=True, help="master seed")
+_MODEL = _arg(
+    "--model", choices=("nae", "coloring"), default="nae", help="constraint model (default nae)"
+)
+_PATH = _arg("path", help="instance file")
+_DEGREE_TOL = _arg("--tol", type=float, default=1e-9, help="degree bisection tolerance")
+_FIXED_POINT_TOL = _arg("--tol", type=float, default=1e-12, help="fixed-point tolerance")
+_OUTPUT = (
+    _arg("--out", help="write output to this file instead of stdout"),
+    _arg("--format", choices=("csv", "json"), default="csv", help="output format (default csv)"),
+)
+
+# (name, help, argument specs, handler) per subcommand, in `rcsp --help` order.
+_COMMANDS: list[tuple] = []
+
+
+def _command(name: str, help: str, *args):
+    """Declare the decorated handler as subcommand `name` with these arguments.
+    It returns (headers, rows) for the renderer, with the exit status as an
+    optional third item (certify), or None when it writes its own file (gen)."""
+
+    def declare(run):
+        _COMMANDS.append((name, help, args, run))
+        return run
+
+    return declare
+
+
+# The ThresholdReport fields `table` prints; `dstar` adds its diagnostics.
+_THRESHOLD_COLUMNS = ("k", "d_star", "ceil_d_star", "d_first_moment", "ceil_d1")
+
+
+@_command(
+    "table",
+    "threshold table over a range of clause sizes",
+    _arg("--kmin", type=int, default=3, help="smallest clause size (default 3)"),
+    _arg("--kmax", type=int, default=15, help="largest clause size (default 15)"),
+    _DEGREE_TOL,
+    *_OUTPUT,
+)
+def _table(args):
+    return _records(table_rows(args.kmin, args.kmax, args.tol), _THRESHOLD_COLUMNS)
+
+
+@_command(
+    "fixpoint",
+    "solve the message fixed point at one (k, d)",
+    _K,
+    _D,
+    _arg("--tol", type=float, default=1e-12, help="bisection tolerance"),
+    *_OUTPUT,
+)
+def _fixpoint(args):
+    fp = solve_fixed_point(ModelParams(args.k, args.d), args.tol)
     headers = [
         "k",
         "d",
@@ -153,102 +213,86 @@ def _cmd_fixpoint(args) -> int:
         "max_derivative",
         "iteration_gap",
     ]
-    rows = [
-        [
-            args.k,
-            args.d,
-            fp.x,
-            fp.residual,
-            fp.bracket[0],
-            fp.bracket[1],
-            fp.max_derivative,
-            fp.iteration_gap,
-        ]
-    ]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    row = [args.k, args.d, fp.x, fp.residual, *fp.bracket, fp.max_derivative, fp.iteration_gap]
+    return headers, [row]
 
 
-def _cmd_phi(args) -> int:
+@_command(
+    "phi",
+    "free-energy value at the fixed point or a given x",
+    _K,
+    _D,
+    _arg("--x", type=float, help="evaluate at this x instead of the fixed point"),
+    _FIXED_POINT_TOL,
+    *_OUTPUT,
+)
+def _phi(args):
     params = ModelParams(args.k, args.d)
-    if args.x is not None:
-        x = args.x
-    else:
-        x = solve_fixed_point(params, args.tol).x
-    headers = ["k", "d", "x", "phi"]
-    rows = [[args.k, args.d, x, phi(params, x)]]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    x = args.x if args.x is not None else solve_fixed_point(params, args.tol).x
+    return ["k", "d", "x", "phi"], [[args.k, args.d, x, phi(params, x)]]
 
 
-def _cmd_dstar(args) -> int:
+@_command("dstar", "largest zero of the fixed-point free energy", _K, _DEGREE_TOL, *_OUTPUT)
+def _dstar(args):
     r = d_star(args.k, args.tol)
-    headers = [
-        "k",
-        "d_star",
-        "ceil_d_star",
-        "d_first_moment",
-        "ceil_d1",
-        "bracket_lo",
-        "bracket_hi",
-        "sign_changes",
-    ]
-    rows = [
-        [
-            r.k,
-            r.d_star,
-            r.ceil_d_star,
-            r.d_first_moment,
-            r.ceil_d1,
-            r.bracket[0],
-            r.bracket[1],
-            len(r.sign_changes),
-        ]
-    ]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    headers, rows = _records([r], _THRESHOLD_COLUMNS)
+    headers += ["bracket_lo", "bracket_hi", "sign_changes"]
+    return headers, [rows[0] + [*r.bracket, len(r.sign_changes)]]
 
 
-def _cmd_interp(args) -> int:
+@_command(
+    "interp",
+    "interpolation functional / temperature scan",
+    _K,
+    _D,
+    _arg("--betas", type=_float_list, required=True, help="comma-separated inverse temperatures"),
+    _arg("--lam", type=float, help="evaluate once at this tilt (single beta)"),
+    _MODEL,
+    _FIXED_POINT_TOL,
+    *_OUTPUT,
+)
+def _interp(args):
     params = ModelParams(args.k, args.d)
     headers = ["beta", "lambda", "P", "P_over_sqrt_beta"]
-    if args.lam is not None:
-        if len(args.betas) != 1:
-            raise ValueError("--lam needs exactly one --betas value")
-        beta = args.betas[0]
-        eta = eta_cluster(params, beta, args.tol)
-        spec = ThetaSpec(args.model, beta)
-        value = functional_exact(params, eta, spec, args.lam)
-        scaled = value / math.sqrt(beta) if beta > 0 else math.inf
-        rows = [[beta, args.lam, value, scaled]]
-    else:
-        result = beta_scaling_scan(params, args.betas, args.tol)
-        rows = [[r.beta, r.lam, r.p_value, r.p_over_sqrt_beta] for r in result.rows]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    if args.lam is None:
+        scan = beta_scaling_scan(params, args.betas, args.tol)
+        return headers, [[r.beta, r.lam, r.p_value, r.p_over_sqrt_beta] for r in scan.rows]
+    if len(args.betas) != 1:
+        raise ValueError("--lam needs exactly one --betas value")
+    beta = args.betas[0]
+    eta = eta_cluster(params, beta, args.tol)
+    value = functional_exact(params, eta, ThetaSpec(args.model, beta), args.lam)
+    scaled = value / math.sqrt(beta) if beta > 0 else math.inf
+    return headers, [[beta, args.lam, value, scaled]]
 
 
-def _cmd_firstmo(args) -> int:
+@_command("firstmo", "exact first-moment terms and ratios", _K, _D_INT, _N_LIST, *_OUTPUT)
+def _firstmo(args):
     if args.format == "json":
-        reports = ratio_scan(args.k, args.d, args.n)
-        headers = ["n", "m", "k", "d", "ez_nae", "ez_col", "ratio"]
-        rows = [[r.n, r.m, r.k, r.d, r.ez_nae, r.ez_col, r.ratio] for r in reports]
-    else:
-        headers = ["n", "gamma", "binom", "p_gamma", "contribution"]
-        rows = []
-        for n in args.n:
-            if (n * args.d) % args.k:
-                raise ValueError(f"n*d = {n * args.d} not divisible by k = {args.k}")
-            m = n * args.d // args.k
-            for t in range(n + 1):
-                gamma = Fraction(t, n)
-                pg = p_gamma(n, m, args.k, gamma)
-                rows.append([n, gamma, math.comb(n, t), pg, math.comb(n, t) * pg])
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+        return _records(ratio_scan(args.k, args.d, args.n), FirstMomentReport)
+    rows = []
+    for n in args.n:
+        m = check_size(n, args.k, args.d)
+        for t in range(n + 1):
+            gamma = Fraction(t, n)
+            pg = p_gamma(n, m, args.k, gamma)
+            rows.append([n, gamma, math.comb(n, t), pg, math.comb(n, t) * pg])
+    return ["n", "gamma", "binom", "p_gamma", "contribution"], rows
 
 
-def _cmd_gen(args) -> int:
+@_command(
+    "gen",
+    "sample one instance and write it to a file",
+    _N,
+    _K,
+    _D_INT,
+    _arg("--seed", type=int, required=True, help="sampling seed"),
+    _MODEL,
+    _arg("--simple", action="store_true", help="resample until no clause repeats a variable"),
+    _arg("--max-retries", type=int, default=1000, help="resampling budget for --simple"),
+    _arg("--out", required=True, help="instance file to write"),
+)
+def _gen(args):
     inst = sample_instance(
         args.n,
         args.k,
@@ -259,257 +303,112 @@ def _cmd_gen(args) -> int:
         max_retries=args.max_retries,
     )
     write_instance(inst, args.out)
-    return 0
 
 
-def _cmd_solve(args) -> int:
+@_command("solve", "exact solution count of an instance file", _PATH, *_OUTPUT)
+def _solve(args):
     inst = read_instance(args.path)
     headers = ["n", "m", "k", "d", "model", "solutions"]
-    rows = [[inst.n, inst.m, inst.k, inst.d, inst.model, count_solutions(inst)]]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    return headers, [[inst.n, inst.m, inst.k, inst.d, inst.model, count_solutions(inst)]]
 
 
-def _cmd_z(args) -> int:
-    inst = read_instance(args.path)
-    g = partition_function(inst, args.beta)
-    headers = ["beta", "logZ", "solution_count", "free_energy_per_var"]
-    rows = [[g.beta, g.logZ, g.solution_count, g.free_energy_per_var]]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+@_command("z", "exact partition function of an instance file", _PATH, _BETA, *_OUTPUT)
+def _z(args):
+    return _records([partition_function(read_instance(args.path), args.beta)], GibbsSummary)
 
 
-def _cmd_sweep(args) -> int:
+@_command(
+    "sweep",
+    "satisfiable fraction across degrees",
+    _K,
+    _N,
+    _arg("--d", type=_int_list, required=True, help="comma-separated degrees"),
+    _arg("--trials", type=int, required=True, help="instances per degree"),
+    _SEED,
+    _MODEL,
+    *_OUTPUT,
+)
+def _sweep(args):
     points = sat_sweep(args.k, args.n, args.d, args.trials, args.seed, model=args.model)
-    headers = ["d", "trials", "sat_fraction"]
-    rows = [[p.d, p.trials, p.sat_fraction] for p in points]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    return _records(points, SweepPoint)
 
 
-def _cmd_concentrate(args) -> int:
+@_command(
+    "concentrate",
+    "spread of the free energy across sizes",
+    _K,
+    _D_INT,
+    _N_LIST,
+    _BETA,
+    _arg("--samples", type=int, required=True, help="instances per size"),
+    _SEED,
+    _MODEL,
+    *_OUTPUT,
+)
+def _concentrate(args):
     stats = concentration_experiment(
         args.n, args.k, args.d, args.beta, args.samples, args.seed, model=args.model
     )
-    headers = ["n", "samples", "mean", "std"]
-    rows = [[s.n, s.samples, s.mean, s.std] for s in stats]
-    _write(_render(headers, rows, args.format), args.out)
-    return 0
+    return _records(stats, ConcentrationStat)
 
 
-def _cmd_certify(args) -> int:
+@_command(
+    "certify",
+    "run the high-precision inequality suite",
+    _arg("--id", help="run a single certificate by id"),
+    _arg(
+        "--digits",
+        type=int,
+        default=DEFAULT_DIGITS,
+        help=f"working precision in significant digits (default {DEFAULT_DIGITS})",
+    ),
+    *_OUTPUT,
+)
+def _certify(args):
     reports = [evaluate(args.id, args.digits)] if args.id else verify_all(args.digits)
+    status = 0 if all(r.passed for r in reports) else 2
     if args.format == "json":
-        headers = [
-            "id",
-            "expression",
-            "computed",
-            "claimed_bound",
-            "relation",
-            "margin",
-            "passed",
-            "inconclusive",
-            "notes",
-        ]
-        rows = [
-            [
-                r.id,
-                r.expression,
-                r.computed,
-                r.claimed_bound,
-                r.relation,
-                r.margin,
-                r.passed,
-                r.inconclusive,
-                r.notes,
-            ]
-            for r in reports
-        ]
-    else:
-        headers = ["id", "computed", "bound", "relation", "margin", "status"]
-        rows = []
-        with mpmath.workdps(args.digits + 10):
-            for r in reports:
-                shown = mpmath.nstr(mpmath.mpf(r.computed), 20)
-                status = (
-                    "pass" if r.passed else "inconclusive" if r.inconclusive else "fail"
-                )
-                rows.append([r.id, shown, r.claimed_bound, r.relation, r.margin, status])
-    _write(_render(headers, rows, args.format), args.out)
-    exit_code = 0 if all(r.passed for r in reports) else 2
-    return exit_code
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="output format (default csv)",
-    )
+        return (*_records(reports, CertificateReport), status)
+    rows = []
+    with mpmath.workdps(args.digits + 10):
+        for r in reports:
+            shown = mpmath.nstr(mpmath.mpf(r.computed), 20)
+            verdict = "pass" if r.passed else "inconclusive" if r.inconclusive else "fail"
+            rows.append([r.id, shown, r.claimed_bound, r.relation, r.margin, verdict])
+    return ["id", "computed", "bound", "relation", "margin", "status"], rows, status
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rcsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("table", help="threshold table over a range of clause sizes")
-    p.add_argument("--kmin", type=int, default=3, help="smallest clause size (default 3)")
-    p.add_argument("--kmax", type=int, default=15, help="largest clause size (default 15)")
-    p.add_argument("--tol", type=float, default=1e-9, help="degree bisection tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("fixpoint", help="solve the message fixed point at one (k, d)")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=float, required=True, help="variable degree")
-    p.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fixpoint)
-
-    p = sub.add_parser("phi", help="free-energy value at the fixed point or a given x")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=float, required=True, help="variable degree")
-    p.add_argument("--x", type=float, help="evaluate at this x instead of the fixed point")
-    p.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("dstar", help="largest zero of the fixed-point free energy")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--tol", type=float, default=1e-9, help="degree bisection tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dstar)
-
-    p = sub.add_parser("interp", help="interpolation functional / temperature scan")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=float, required=True, help="variable degree")
-    p.add_argument(
-        "--betas",
-        type=_float_list,
-        required=True,
-        help="comma-separated inverse temperatures",
-    )
-    p.add_argument("--lam", type=float, help="evaluate once at this tilt (single beta)")
-    p.add_argument(
-        "--model",
-        choices=("nae", "coloring"),
-        default="nae",
-        help="constraint model (default nae)",
-    )
-    p.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_interp)
-
-    p = sub.add_parser("firstmo", help="exact first-moment terms and ratios")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=int, required=True, help="variable degree")
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated sizes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_firstmo)
-
-    p = sub.add_parser("gen", help="sample one instance and write it to a file")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=int, required=True, help="variable degree")
-    p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p.add_argument(
-        "--model",
-        choices=("nae", "coloring"),
-        default="nae",
-        help="constraint model (default nae)",
-    )
-    p.add_argument(
-        "--simple",
-        action="store_true",
-        help="resample until no clause repeats a variable",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=1000, help="resampling budget for --simple"
-    )
-    p.add_argument("--out", required=True, help="instance file to write")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("solve", help="exact solution count of an instance file")
-    p.add_argument("path", help="instance file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("z", help="exact partition function of an instance file")
-    p.add_argument("path", help="instance file")
-    p.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    _add_common(p)
-    p.set_defaults(func=_cmd_z)
-
-    p = sub.add_parser("sweep", help="satisfiable fraction across degrees")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--d", type=_int_list, required=True, help="comma-separated degrees")
-    p.add_argument("--trials", type=int, required=True, help="instances per degree")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument(
-        "--model",
-        choices=("nae", "coloring"),
-        default="nae",
-        help="constraint model (default nae)",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("concentrate", help="spread of the free energy across sizes")
-    p.add_argument("--k", type=int, required=True, help="clause size")
-    p.add_argument("--d", type=int, required=True, help="variable degree")
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated sizes")
-    p.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    p.add_argument("--samples", type=int, required=True, help="instances per size")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument(
-        "--model",
-        choices=("nae", "coloring"),
-        default="nae",
-        help="constraint model (default nae)",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_concentrate)
-
-    p = sub.add_parser("certify", help="run the high-precision inequality suite")
-    p.add_argument("--id", help="run a single certificate by id")
-    p.add_argument(
-        "--digits",
-        type=int,
-        default=DEFAULT_DIGITS,
-        help=f"working precision in significant digits (default {DEFAULT_DIGITS})",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_certify)
-
+    for name, help, args, run in _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for flag, spec in args:
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError:
         return 1
     try:
-        return args.func(args)
-    except BracketError as exc:
-        sys.stderr.write(f"rcsp: computation failed: {exc}\n")
-        return 2
-    except (SupportBlowupError, RetryExhaustedError) as exc:
-        sys.stderr.write(f"rcsp: computation failed: {exc}\n")
-        return 2
-    except InstanceFormatError as exc:
-        sys.stderr.write(f"rcsp: invalid input: {exc}\n")
-        return 1
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"rcsp: invalid input: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"rcsp: computation failed: {exc}\n")
-        return 2
+        result = args.run(args)
+        if result is None:
+            return 0
+        headers, rows, *status = result
+        _write(_render(headers, rows, args.format), args.out)
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+        # The error map: a computation that gave up (no bracket, support blowup,
+        # retries exhausted, a solver failing its own check, an unopenable file)
+        # exits 2; any other ValueError or KeyError, BracketError aside, exits 1.
+        gave_up = isinstance(exc, (BracketError, RuntimeError, OSError))
+        word = "computation failed" if gave_up else "invalid input"
+        sys.stderr.write(f"rcsp: {word}: {exc}\n")
+        return 2 if gave_up else 1
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ __all__ = [
     "RetryExhaustedError",
     "InstanceFormatError",
     "is_simple",
+    "check_size",
     "sample_instance",
     "count_solutions",
     "count_solutions_dfs",
@@ -155,7 +156,9 @@ class ConcentrationStat:
     std: float | None
 
 
-def _check_size(n: int, k: int, d: int) -> int:
+def check_size(n: int, k: int, d: int) -> int:
+    """Clause count m = nd/k of an n-variable, k-uniform, d-regular instance;
+    ValueError when no such instance exists."""
     if n < 1 or k < 2 or d < 1:
         raise ValueError(f"need n >= 1, k >= 2, d >= 1, got n={n} k={k} d={d}")
     if (n * d) % k != 0:
@@ -178,7 +181,7 @@ def sample_instance(
     require_simple is set) consume the same stream, so a given seed always
     yields the same instance regardless of how many rejections occur.
     """
-    m = _check_size(n, k, d)
+    m = check_size(n, k, d)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
@@ -239,10 +242,31 @@ def _clause_pin_patterns(inst: NaeInstance):
     return patterns
 
 
-def _chunk_ranges(n: int):
-    """Split variables into fixed leading bits and an inner tensor block."""
-    inner = min(n, CHUNK_VARS)
-    return n - inner, inner
+def _chunks(inst: NaeInstance):
+    """Walk the assignments chunk by chunk: per chunk, the tensor shape and the
+    tensor index of every clause pattern that can fire inside it.
+
+    Leading variables are fixed by an outer counter; the rest (at most
+    CHUNK_VARS) are the axes of a (2,)*inner tensor.  A pattern pins each of
+    its inner variables to one index, and is left out of any chunk whose
+    counter disagrees with it on a fixed variable.
+    """
+    inner = min(inst.n, CHUNK_VARS)
+    fixed = inst.n - inner
+    patterns = _clause_pin_patterns(inst)
+    for outer in range(1 << fixed):
+        indices = []
+        for sides in patterns:
+            for vars_, bits in sides:
+                idx: list = [slice(None)] * inner
+                for v, b in zip(vars_, bits):
+                    if v >= fixed:
+                        idx[v - fixed] = b
+                    elif (outer >> v) & 1 != b:
+                        break
+                else:
+                    indices.append(tuple(idx))
+        yield (2,) * inner, indices
 
 
 def count_solutions(inst: NaeInstance) -> int:
@@ -251,25 +275,12 @@ def count_solutions(inst: NaeInstance) -> int:
         raise ValueError(f"count capped at n <= {COUNT_VARS_LIMIT}, got {inst.n}")
     if inst.n > TENSOR_VARS_LIMIT:
         return count_solutions_dfs(inst)
-    fixed, inner = _chunk_ranges(inst.n)
-    patterns = _clause_pin_patterns(inst)
     total = 0
-    for outer in range(1 << fixed):
-        bad = np.zeros((2,) * inner, dtype=bool)
-        for sides in patterns:
-            for vars_, bits in sides:
-                idx: list = [slice(None)] * inner
-                dead = False
-                for v, b in zip(vars_, bits):
-                    if v < fixed:
-                        if (outer >> v) & 1 != b:
-                            dead = True
-                            break
-                    else:
-                        idx[v - fixed] = b
-                if not dead:
-                    bad[tuple(idx)] = True
-        total += (1 << inner) - int(np.count_nonzero(bad))
+    for shape, indices in _chunks(inst):
+        bad = np.zeros(shape, dtype=bool)
+        for idx in indices:
+            bad[idx] = True
+        total += bad.size - int(np.count_nonzero(bad))
     return total
 
 
@@ -321,25 +332,12 @@ def violation_histogram(inst: NaeInstance) -> list[int]:
     """
     if inst.n > TENSOR_VARS_LIMIT:
         raise ValueError(f"histogram capped at n <= {TENSOR_VARS_LIMIT}, got {inst.n}")
-    fixed, inner = _chunk_ranges(inst.n)
-    patterns = _clause_pin_patterns(inst)
     dtype = np.uint8 if inst.m <= 255 else np.uint16
     hist = [0] * (inst.m + 1)
-    for outer in range(1 << fixed):
-        counts = np.zeros((2,) * inner, dtype=dtype)
-        for sides in patterns:
-            for vars_, bits in sides:
-                idx: list = [slice(None)] * inner
-                dead = False
-                for v, b in zip(vars_, bits):
-                    if v < fixed:
-                        if (outer >> v) & 1 != b:
-                            dead = True
-                            break
-                    else:
-                        idx[v - fixed] = b
-                if not dead:
-                    counts[tuple(idx)] += 1
+    for shape, indices in _chunks(inst):
+        counts = np.zeros(shape, dtype=dtype)
+        for idx in indices:
+            counts[idx] += 1
         for j, c in enumerate(np.bincount(counts.ravel(), minlength=inst.m + 1)):
             hist[j] += int(c)
     return hist
@@ -347,9 +345,12 @@ def violation_histogram(inst: NaeInstance) -> list[int]:
 
 def partition_function(inst: NaeInstance, beta: float) -> GibbsSummary:
     """Exact Z(beta): violated clauses pay e^{-beta} each, so Z is the
-    violation histogram summed against e^{-beta j}."""
+    violation histogram summed against e^{-beta j}.  beta must be finite:
+    BETA_INFINITY stands in for the zero-temperature limit."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     hist = violation_histogram(inst)
     count = hist[0]
     if beta == 0:
@@ -447,7 +448,7 @@ def sat_sweep(
         raise ValueError(f"need trials >= 1, got {trials}")
     points = []
     for i, d in enumerate(d_list):
-        _check_size(n, k, d)
+        check_size(n, k, d)
         hits = 0
         for t in range(trials):
             inst = sample_instance(

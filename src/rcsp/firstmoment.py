@@ -24,6 +24,7 @@ import mpmath
 import numpy as np
 
 from .bp import ModelParams
+from .ensemble import check_size
 
 __all__ = [
     "TiltedClauseLaw",
@@ -101,17 +102,9 @@ class FirstMomentReport:
             )
 
 
-def _require_divisible(n: int, k: int, d: int) -> int:
-    if n < 1 or k < 2 or d < 1:
-        raise ValueError(f"need n >= 1, k >= 2, d >= 1, got n={n} k={k} d={d}")
-    if (n * d) % k != 0:
-        raise ValueError(f"n*d = {n * d} not divisible by k = {k}")
-    return (n * d) // k
-
-
 def ez_nae(n: int, k: int, d: int) -> Fraction:
     """Expected solution count 2^n (1 - 2^{1-k})^m, exactly."""
-    m = _require_divisible(n, k, d)
+    m = check_size(n, k, d)
     return Fraction(2) ** n * (1 - Fraction(2) ** (1 - k)) ** m
 
 
@@ -172,7 +165,7 @@ def p_gamma(n: int, m: int, k: int, gamma) -> Fraction:
 
 def _col_terms(n: int, k: int, d: int):
     """Per-t summand (t, C(n,t), W[t*d], C(nd, t*d)) of the coloring count."""
-    m = _require_divisible(n, k, d)
+    m = check_size(n, k, d)
     counts = _interior_slot_counts(k, m)
     nd = n * d
     for t in range(n + 1):
@@ -252,10 +245,13 @@ def lagrange_lambda(gamma: float, k: int, tol: float = 1e-12) -> float:
 
     The mean is strictly increasing in the tilt, so a sign-changing bracket
     pins the root; the bracket is grown geometrically from [-1, 1] and the
-    solve is abandoned past |lambda| = 50.
+    solve is abandoned past |lambda| = 50.  Bisection stops at width tol or
+    at adjacent floats, whichever comes first.
     """
     if abs(gamma - 0.5) > 0.1 + 1e-15:
         raise ValueError(f"gamma = {gamma} outside the supported band |gamma - 1/2| <= 0.1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if gamma == 0.5:
         return 0.0
     target = k * gamma
@@ -274,6 +270,8 @@ def lagrange_lambda(gamma: float, k: int, tol: float = 1e-12) -> float:
             raise ValueError(f"no bracket with lambda <= {LAMBDA_LIMIT}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if short(mid) < 0.0:
             lo = mid
         else:
@@ -318,7 +316,7 @@ def ratio_scan(k: int, d: int, n_list) -> list[FirstMomentReport]:
     """E Z_col / E Z_nae across sizes; the ratio staying put is the point."""
     reports = []
     for n in n_list:
-        m = _require_divisible(n, k, d)
+        m = check_size(n, k, d)
         nae = ez_nae(n, k, d)
         col = ez_col(n, k, d)
         if isinstance(col, Fraction):
@@ -353,7 +351,7 @@ def _matching_blocks(nd: int, d: int, rows: int):
 
 def exhaustive_ez_col(n: int, k: int, d: int) -> Fraction:
     """Average proper-2-coloring count over all (nd)! matchings, exactly."""
-    m = _require_divisible(n, k, d)
+    m = check_size(n, k, d)
     nd = n * d
     if nd > 12:
         raise ValueError(f"exhaustive matcher capped at nd <= 12, got {nd}")
@@ -378,7 +376,7 @@ def exhaustive_ez_nae(n: int, k: int, d: int) -> Fraction:
     by enumerating every (slot colors, pattern) pair, so each of the
     2^{nd} patterns is accounted exactly once.
     """
-    m = _require_divisible(n, k, d)
+    m = check_size(n, k, d)
     nd = n * d
     if nd > 9:
         raise ValueError(f"exhaustive literal average capped at nd <= 9, got {nd}")

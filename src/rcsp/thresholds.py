@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .bp import (
     BracketError,
@@ -55,23 +56,31 @@ class ThresholdReport:
     sign_changes: tuple[tuple[float, float], ...]
 
 
-def phi(params: ModelParams, x) -> float:
+# The float arithmetic context: phi's default, with the names it uses from
+# an mpmath context.
+_FLOAT = SimpleNamespace(log=math.log, mpf=float)
+
+
+def phi(params: ModelParams, x, ctx=_FLOAT):
     """Free-energy expression at message weight x.
 
     phi = -ln(1-x) - d(1 - 1/k - 1/d) ln(1 - 2 x^k) + (d-1) ln(1 - x^(k-1))
 
-    Requires every log argument positive; x in [0, 1/2] always is.
+    Generic over the arithmetic context.  The default evaluates in floats
+    and requires every log argument positive; x in [0, 1/2] always is.
+    ctx = mpmath with mpf arguments gives a high-precision value, and an
+    mpmath.iv context with interval arguments gives an enclosure.
     """
     k, d = params.k, params.d
     a1 = 1 - x
     a2 = 1 - 2 * x**k
     a3 = 1 - x ** (k - 1)
-    if not (a1 > 0 and a2 > 0 and a3 > 0):
+    if ctx is _FLOAT and not (a1 > 0 and a2 > 0 and a3 > 0):
         raise ValueError(f"phi undefined at x={x}: a log argument is <= 0")
     return (
-        -math.log(a1)
-        - d * (1 - 1 / k - 1 / d) * math.log(a2)
-        + (d - 1) * math.log(a3)
+        -ctx.log(a1)
+        - d * (1 - ctx.mpf(1) / k - 1 / d) * ctx.log(a2)
+        + (d - 1) * ctx.log(a3)
     )
 
 
@@ -101,9 +110,10 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
 
     Scans SCAN_STEPS degrees downward from the window's upper end, records
     every sign change of phi_star, brackets the first one encountered
-    (negative above, positive below), and bisects it to tol.
+    (negative above, positive below), and bisects it to tol or to adjacent
+    floats, whichever comes first.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     window = degree_window(k)
     lo, hi = window.d_lbd, window.d_ubd
@@ -127,6 +137,8 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
     d_neg, d_pos = sign_changes[0][1], sign_changes[0][0]
     while d_neg - d_pos > tol:
         mid = 0.5 * (d_pos + d_neg)
+        if mid == d_pos or mid == d_neg:
+            break
         if f(mid) > 0:
             d_pos = mid
         else:

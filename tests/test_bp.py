@@ -124,8 +124,12 @@ def test_fixed_point_solver_options():
         max_derivative=None,
         iteration_gap=3.0,
     ) or bare.x == pytest.approx(full.x, abs=1e-12)
-    with pytest.raises(ValueError):
-        solve_fixed_point(p, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            solve_fixed_point(p, tol=tol)
+    # a tol below the float spacing stops at adjacent floats
+    a, b = solve_fixed_point(p, tol=1e-300, witness=False, derivative_grid=0).bracket
+    assert math.nextafter(a, 1.0) == b
 
 
 def test_bracket_error_below_window():

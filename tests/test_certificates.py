@@ -13,12 +13,12 @@ from rcsp.certificates import (
     _dphi_dd,
     _dphi_dx,
     _dpsi_dd,
-    _phi,
     certificate_ids,
     certify_ceil_d_star,
     evaluate,
     verify_all,
 )
+from rcsp.thresholds import phi
 
 EXPECTED_IDS = (
     "alpha5",
@@ -119,8 +119,8 @@ def test_threshold_derivatives_match_numerical(k, d, x):
     with mpmath.workdps(50):
         d, x = mpmath.mpf(d), mpmath.mpf(x)
         cases = (
-            (_dphi_dx(k, d, x), mpmath.diff(lambda t: _phi(k, d, t), x)),
-            (_dphi_dd(k, x), mpmath.diff(lambda t: _phi(k, t, x), d)),
+            (_dphi_dx(k, d, x), mpmath.diff(lambda t: phi(ModelParams(k, d), t, mpmath), x)),
+            (_dphi_dd(k, x), mpmath.diff(lambda t: phi(ModelParams(k, t), x, mpmath), d)),
             (_dpsi_dd(k, d, x), mpmath.diff(lambda t: psi(ModelParams(k, t), x), d)),
         )
         for closed, numerical in cases:

@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rcsp
 from rcsp.bp import ModelParams
 from rcsp.cli import main
-from rcsp.ensemble import read_instance, sample_instance
+from rcsp.ensemble import read_instance, sample_instance, write_instance
 from rcsp.interp import ThetaSpec, eta_cluster, functional_exact
 from rcsp.thresholds import phi
 
@@ -252,3 +256,106 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "fixpoint", "--k", "3")[0] == 1  # missing --d
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+
+
+# Every subcommand's CSV header and JSON key order; the JSON keys equal the
+# CSV header unless given separately.
+SCHEMAS = (
+    (["table", "--kmax", "3"], "k,d_star,ceil_d_star,d_first_moment,ceil_d1", None),
+    (
+        ["fixpoint", "--k", "3", "--d", "7"],
+        "k,d,x,residual,bracket_lo,bracket_hi,max_derivative,iteration_gap",
+        None,
+    ),
+    (["phi", "--k", "3", "--d", "7"], "k,d,x,phi", None),
+    (
+        ["dstar", "--k", "3"],
+        "k,d_star,ceil_d_star,d_first_moment,ceil_d1,bracket_lo,bracket_hi,sign_changes",
+        None,
+    ),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "1"], "beta,lambda,P,P_over_sqrt_beta", None),
+    (
+        ["interp", "--k", "3", "--d", "7.4", "--betas", "4", "--lam", "0.5"],
+        "beta,lambda,P,P_over_sqrt_beta",
+        None,
+    ),
+    (
+        ["firstmo", "--k", "3", "--d", "3", "--n", "3"],
+        "n,gamma,binom,p_gamma,contribution",
+        "n,m,k,d,ez_nae,ez_col,ratio",
+    ),
+    (["solve", "{inst}"], "n,m,k,d,model,solutions", None),
+    (["z", "{inst}", "--beta", "1"], "beta,logZ,solution_count,free_energy_per_var", None),
+    (
+        ["sweep", "--k", "3", "--n", "6", "--d", "2", "--trials", "2", "--seed", "1"],
+        "d,trials,sat_fraction",
+        None,
+    ),
+    (
+        ["concentrate", "--k", "3", "--d", "2", "--n", "6"]
+        + ["--beta", "1", "--samples", "2", "--seed", "1"],
+        "n,samples,mean,std",
+        None,
+    ),
+    (
+        ["certify", "--id", "alpha5"],
+        "id,computed,bound,relation,margin,status",
+        "id,expression,computed,claimed_bound,relation,margin,passed,inconclusive,notes",
+    ),
+)
+
+
+@pytest.fixture
+def inst_path(tmp_path):
+    path = tmp_path / "inst.txt"
+    write_instance(sample_instance(6, 3, 2, seed=1, model="coloring"), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, header, keys", SCHEMAS, ids=[" ".join(c[0]) for c in SCHEMAS])
+def test_output_columns(capsys, inst_path, argv, header, keys):
+    argv = [a.format(inst=inst_path) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == header
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)[0]) == (keys or header).split(",")
+
+
+# Invocations that once hung, printed nan, or ended in a traceback, with the
+# exit code each must now end with.  Each runs in its own process under a
+# timeout, one at a time, so a hang fails the test instead of stalling it.
+CONCENTRATE = ["concentrate", "--k", "3", "--d", "2", "--n", "6", "--samples", "2", "--seed", "5"]
+ENDS_CLEANLY = (
+    (["dstar", "--k", "22"], 0),
+    (["dstar", "--k", "3", "--tol", "1e-300"], 0),
+    (["dstar", "--k", "3", "--tol", "nan"], 1),
+    (["fixpoint", "--k", "3", "--d", "7", "--tol", "1e-300"], 2),
+    (["fixpoint", "--k", "3", "--d", "7", "--tol", "nan"], 1),
+    (["firstmo", "--k", "3", "--d", "3", "--n", "0"], 1),
+    (["firstmo", "--k", "3", "--d", "0", "--n", "3"], 1),
+    (["z", "{inst}", "--beta", "nan"], 1),
+    (["z", "{inst}", "--beta", "inf"], 1),
+    (CONCENTRATE + ["--beta", "nan"], 1),
+    (CONCENTRATE + ["--beta", "inf"], 1),
+)
+CLI = "import sys; from rcsp.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv, expected", ENDS_CLEANLY, ids=[" ".join(c[0]) for c in ENDS_CLEANLY])
+def test_ends_cleanly(inst_path, argv, expected):
+    argv = [a.format(inst=inst_path) for a in argv]
+    src = os.path.dirname(os.path.dirname(rcsp.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == (1 if expected else 0)
+    assert (proc.stdout == "") == bool(expected)

@@ -153,8 +153,9 @@ def test_partition_function_properties():
     frozen = partition_function(inst, en.BETA_INFINITY)
     assert frozen.logZ == pytest.approx(math.log(count), abs=1e-9)
     assert frozen.solution_count == count
-    with pytest.raises(ValueError):
-        partition_function(inst, -1.0)
+    for beta in (-1.0, math.nan, math.inf):  # at inf the 0 * inf term is nan
+        with pytest.raises(ValueError):
+            partition_function(inst, beta)
 
 
 def test_gibbs_summary_floor():

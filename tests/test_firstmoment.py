@@ -161,6 +161,13 @@ def test_lagrange_lambda_values():
     assert lagrange_lambda(0.52, 3) == pytest.approx(0.16111934914306403, abs=1e-10)
     with pytest.raises(ValueError):
         lagrange_lambda(0.3, 3)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            lagrange_lambda(0.45, 3, tol=tol)
+    # a tol below the float spacing stops at adjacent floats
+    assert lagrange_lambda(0.45, 3, tol=1e-300) == pytest.approx(
+        lagrange_lambda(0.45, 3), abs=1e-11
+    )
 
 
 @pytest.mark.parametrize("gamma", (0.42, 0.47, 0.55, 0.6))

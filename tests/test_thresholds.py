@@ -62,8 +62,17 @@ def test_d_star_k3():
 
 
 def test_d_star_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        d_star(3, tol=-1e-9)
+    for tol in (-1e-9, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            d_star(3, tol=tol)
+
+
+def test_d_star_stops_at_float_resolution():
+    # below the float spacing of d the bisection ends at adjacent floats;
+    # at k = 22 that spacing (about 3.7e-9) exceeds the default tol
+    for k, tol in ((3, 1e-300), (22, 1e-9)):
+        lo, hi = d_star(k, tol).bracket
+        assert math.nextafter(lo, math.inf) == hi
 
 
 def test_d_first_moment_values():
