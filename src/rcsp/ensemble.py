@@ -4,10 +4,10 @@ Instances are drawn from the configuration model: n variables each with d
 half-edges, m = nd/k clauses each with k slots, matched by a seeded uniform
 shuffle.  Solution counts and partition functions are exact: a clause is
 violated exactly when its literal-adjusted values are all equal, which pins
-every participating variable to one of two complementary bit patterns, so
-violations accumulate over assignments as at most two strided writes per
-clause into a {0,1}^n tensor.  The per-assignment violation counts collapse
-into a histogram from which Z(beta) follows at any temperature.
+its variables to one of two complementary bit patterns.  The per-assignment
+violation counts are built in cache-sized blocks by contiguous adds of
+precomputed pattern sums; their zeros give the solution count and their
+histogram gives Z(beta) at any temperature.
 
 Seeding contract: every multi-trial operation derives the trial's generator
 from SeedSequence(master_seed, spawn_key=(...counters...)), so any single
@@ -45,7 +45,7 @@ __all__ = [
 
 COUNT_VARS_LIMIT = 34
 TENSOR_VARS_LIMIT = 30
-CHUNK_VARS = 24
+CHUNK_VARS = 16
 RESAMPLE_VARS_LIMIT = 24
 BETA_INFINITY = 700.0
 
@@ -242,46 +242,51 @@ def _clause_pin_patterns(inst: NaeInstance):
     return patterns
 
 
-def _chunks(inst: NaeInstance):
-    """Walk the assignments chunk by chunk: per chunk, the tensor shape and the
-    tensor index of every clause pattern that can fire inside it.
+def _blocks(inst: NaeInstance):
+    """Yield the per-assignment violation counts, 2^CHUNK_VARS at a time.
 
-    Leading variables are fixed by an outer counter; the rest (at most
-    CHUNK_VARS) are the axes of a (2,)*inner tensor.  A pattern pins each of
-    its inner variables to one index, and is left out of any chunk whose
-    counter disagrees with it on a fixed variable.
+    An outer counter fixes the leading variables; the rest index a block.
+    Patterns are grouped by what they require of the leading variables, and
+    each group's indicators over the block variables are summed once (the
+    group requiring nothing is the base).  A block is the base plus every
+    group the counter meets: contiguous adds only.  A clause's two patterns
+    are exclusive, so a count never exceeds m.
     """
     inner = min(inst.n, CHUNK_VARS)
     fixed = inst.n - inner
-    patterns = _clause_pin_patterns(inst)
-    for outer in range(1 << fixed):
-        indices = []
-        for sides in patterns:
-            for vars_, bits in sides:
-                idx: list = [slice(None)] * inner
-                for v, b in zip(vars_, bits):
-                    if v >= fixed:
-                        idx[v - fixed] = b
-                    elif (outer >> v) & 1 != b:
-                        break
+    dtype = np.uint8 if inst.m <= 255 else np.uint16
+    groups = {(0, 0): np.zeros((2,) * inner, dtype)}
+    for sides in _clause_pin_patterns(inst):
+        for vars_, bits in sides:
+            mask = want = 0
+            idx: list = [slice(None)] * inner
+            for v, b in zip(vars_, bits):
+                if v < fixed:
+                    mask |= 1 << v
+                    want |= b << v
                 else:
-                    indices.append(tuple(idx))
-        yield (2,) * inner, indices
+                    idx[v - fixed] = b
+            if (mask, want) not in groups:
+                groups[mask, want] = np.zeros((2,) * inner, dtype)
+            groups[mask, want][tuple(idx)] += 1
+    base = groups.pop((0, 0)).ravel()
+    masks, wants = np.array(list(groups), dtype=np.int64).reshape(-1, 2).T
+    arrays = [a.ravel() for a in groups.values()]
+    for outer in range(1 << fixed):
+        block = base.copy()
+        for g in np.flatnonzero((outer & masks) == wants):
+            block += arrays[g]
+        yield block
 
 
 def count_solutions(inst: NaeInstance) -> int:
-    """Exact number of satisfying assignments."""
+    """Exact number of satisfying assignments: the zero entries of all the
+    blocks, or the depth-first counter above TENSOR_VARS_LIMIT variables."""
     if inst.n > COUNT_VARS_LIMIT:
         raise ValueError(f"count capped at n <= {COUNT_VARS_LIMIT}, got {inst.n}")
     if inst.n > TENSOR_VARS_LIMIT:
         return count_solutions_dfs(inst)
-    total = 0
-    for shape, indices in _chunks(inst):
-        bad = np.zeros(shape, dtype=bool)
-        for idx in indices:
-            bad[idx] = True
-        total += bad.size - int(np.count_nonzero(bad))
-    return total
+    return sum(block.size - int(np.count_nonzero(block)) for block in _blocks(inst))
 
 
 def count_solutions_dfs(inst: NaeInstance) -> int:
@@ -324,23 +329,14 @@ def count_solutions_dfs(inst: NaeInstance) -> int:
 
 
 def violation_histogram(inst: NaeInstance) -> list[int]:
-    """hist[j] = number of assignments violating exactly j clauses.
-
-    Built chunk by chunk: leading variables are fixed by an outer counter,
-    the rest live on a uint tensor receiving one strided increment per
-    compatible clause pattern, and a bincount folds each chunk in.
-    """
+    """hist[j] = number of assignments violating exactly j clauses.  Each
+    block is bincounted into one accumulator; no array grows with 2^n."""
     if inst.n > TENSOR_VARS_LIMIT:
         raise ValueError(f"histogram capped at n <= {TENSOR_VARS_LIMIT}, got {inst.n}")
-    dtype = np.uint8 if inst.m <= 255 else np.uint16
-    hist = [0] * (inst.m + 1)
-    for shape, indices in _chunks(inst):
-        counts = np.zeros(shape, dtype=dtype)
-        for idx in indices:
-            counts[idx] += 1
-        for j, c in enumerate(np.bincount(counts.ravel(), minlength=inst.m + 1)):
-            hist[j] += int(c)
-    return hist
+    hist = np.zeros(inst.m + 1, dtype=np.int64)
+    for block in _blocks(inst):
+        hist += np.bincount(block, minlength=inst.m + 1)
+    return [int(c) for c in hist]
 
 
 def partition_function(inst: NaeInstance, beta: float) -> GibbsSummary:

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import rcsp.ensemble as en
 from rcsp.ensemble import (
@@ -125,6 +128,72 @@ def test_count_chunked_path(monkeypatch):
         assert sum(hist) == 2**12
 
 
+def brute_histogram(inst):
+    # the definition itself: a clause is violated when its literal-adjusted
+    # values all agree
+    hist = [0] * (inst.m + 1)
+    for x in itertools.product((0, 1), repeat=inst.n):
+        bad = sum(
+            len({x[v] ^ lit for v, lit in zip(cl, li)}) == 1
+            for cl, li in zip(inst.clauses, inst.literals)
+        )
+        hist[bad] += 1
+    return hist
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(("nae", "coloring")),
+    k=st.sampled_from((2, 4)),
+    n=st.integers(1, 12),
+    d=st.integers(1, 6),
+    chunk=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(model="nae", k=2, n=3, d=2, chunk=1, seed=0)
+def test_blocks_match_brute_force(model, k, n, d, chunk, seed):
+    # chunk sizes from 1 to n put every pattern in the base, in an outer-only
+    # group or in a mixed group; small n makes repeated variables common
+    assume((n * d) % k == 0)
+    inst = sample_instance(n, k, d, seed, model=model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "CHUNK_VARS", min(chunk, n))
+        hist = violation_histogram(inst)
+        count = count_solutions(inst)
+    assert hist == brute_histogram(inst)
+    assert count == count_solutions_dfs(inst) == hist[0]
+
+
+def test_blocks_clashing_bits_and_uint16(monkeypatch):
+    # clause 0 repeats a variable with clashing literals, so neither side
+    # survives and it is never violated; clause 1 repeats one with equal
+    # literals and is always violated
+    clash = NaeInstance(
+        n=2, m=2, k=2, d=2, clauses=((0, 0), (1, 1)), literals=((0, 1), (0, 0)),
+        simple=False, model="nae",
+    )
+    assert violation_histogram(clash) == brute_histogram(clash) == [0, 4, 0]
+    # m = 264 takes the uint16 path; the all-zero coloring violates all 264
+    wide = sample_instance(12, 2, 44, seed=3, model="coloring")
+    expected = brute_histogram(wide)
+    for chunk in (1, 5, 12):
+        monkeypatch.setattr(en, "CHUNK_VARS", chunk)
+        assert violation_histogram(wide) == expected
+        assert count_solutions(wide) == count_solutions_dfs(wide) == expected[0]
+
+
+@pytest.mark.parametrize("build", (violation_histogram, count_solutions))
+def test_blocks_bounded_memory(build):
+    inst = sample_instance(24, 3, 9, seed=1, model="coloring")
+    tracemalloc.start()
+    try:
+        build(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_count_size_caps():
     big = sample_instance(36, 3, 1, seed=0)
     with pytest.raises(ValueError):
@@ -137,7 +206,7 @@ def test_histogram_total_and_zero_bucket():
     inst = sample_instance(14, 2, 2, seed=9)
     hist = violation_histogram(inst)
     assert sum(hist) == 2**14
-    assert hist[0] == count_solutions(inst)
+    assert hist[0] == count_solutions(inst) == count_solutions_dfs(inst)
     assert len(hist) == inst.m + 1
 
 
