@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 __all__ = [
@@ -103,9 +104,12 @@ def degree_window(k: int) -> DegreeWindow:
         return DegreeWindow(6.74, 7.5)
     if k == 4:
         return DegreeWindow(16.7, 2 ** (k - 1) * k * math.log(2))
-    return DegreeWindow(
-        (2 ** (k - 1) - 2) * k * math.log(2), 2 ** (k - 1) * k * math.log(2)
-    )
+    try:
+        return DegreeWindow(
+            (2 ** (k - 1) - 2) * k * math.log(2), 2 ** (k - 1) * k * math.log(2)
+        )
+    except OverflowError:
+        raise ValueError(f"the degree window for k={k} does not fit in a float") from None
 
 
 def psi_hat(k: int, x):
@@ -163,8 +167,34 @@ def psi_derivative(params: ModelParams, x):
     )
 
 
+def _dpsi_dd(k: int, d, x, ctx=mpmath):
+    """d-derivative of the composed recursion: -w ln(v) / (2-w)^2 with
+    v = psi_hat(k, x) and w = v^(d-1)."""
+    v = psi_hat(k, x)
+    w = v ** (d - 1)
+    return -w * ctx.log(v) / (2 - w) ** 2
+
+
 def _domain(k: int) -> tuple[float, float]:
     return 0.5 - 2.0 ** (-k), 0.5
+
+
+def _bisect(keep_low, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Bisect [lo, hi] to width tol or to adjacent floats, whichever comes first.
+
+    keep_low(mid) is true when the root lies above mid, so mid becomes the
+    lower end; otherwise, a zero or a NaN at mid included, it becomes the
+    upper end.  Neither end is evaluated.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if keep_low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def solve_fixed_point(
@@ -198,15 +228,10 @@ def solve_fixed_point(
             f"supported window {degree_window(k)} for k={k}."
         )
 
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if psi(params, mid) - mid > 0:
-            a = mid
-        else:
-            b = mid
+    # psi(params, mid) with k and d bound once: the predicate runs at every
+    # bisection step, where one more call costs about 5% of a threshold table
+    d = params.d
+    a, b = _bisect(lambda mid: psi_dot(d, psi_hat(k, mid)) - mid > 0, lo, hi, tol)
     x = 0.5 * (a + b)
     residual = abs(psi(params, x) - x)
 

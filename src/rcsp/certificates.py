@@ -1,20 +1,19 @@
-"""High-precision checks of the numerical inequalities behind the thresholds.
+"""Interval proofs of the numerical inequalities behind the thresholds.
 
-Each certificate re-evaluates one inequality used by the contraction,
-bracketing, or free-energy-sign analysis, at 50 or more significant digits,
-and passes only when the computed margin clears two guards: it must exceed
-10^(-digits/2), and re-evaluating at twice the precision must move the
-computed value by less than a hundredth of the margin.  A certificate whose
-margin fails either guard is reported inconclusive, never passed.
+Every claim here is decided by one rule: the quantity is enclosed in an
+mpmath.iv interval, and the claim is proven when every point of the
+enclosure satisfies it, refuted when none does, and open otherwise.  No
+precision guard is needed: a proven claim is a bound on an enclosure.
 
-A certificate may bundle several elementary comparisons (a chained
-inequality, a grid of derivative values, a monotone sequence); the reported
-computed/bound/margin always belong to the tightest comparison, and the
-notes field records the rest.
+The registry holds the inequalities used by the contraction, bracketing, or
+free-energy-sign analysis.  evaluate builds one of them once, in an interval
+context at 50 or more significant digits.  A certificate may bundle several
+elementary comparisons (a chained inequality, a cover of an interval by
+boxes, a monotone sequence); the reported computed/bound/margin always belong
+to the tightest comparison, and the notes field records the rest.
 
-certify_ceil_d_star stands outside that registry: it proves a threshold
-ceiling in mpmath.iv interval arithmetic, where every bound is a bound on an
-enclosure and no precision guard is needed.
+certify_ceil_d_star proves a threshold ceiling by the same rule, on a
+Krawczyk enclosure of the fixed point.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ from mpmath.ctx_iv import MPIntervalContext
 from .bp import (
     ModelParams,
     _domain,
+    _dpsi_dd,
     degree_window,
     psi,
     psi_derivative,
     psi_hat,
     solve_fixed_point,
 )
-from .thresholds import phi
+from .thresholds import _dphi_dd, _dphi_dx, phi
 
 __all__ = [
     "CertificateReport",
@@ -51,16 +51,20 @@ DEFAULT_DIGITS = 50
 
 V0_EXACT = Fraction(3410, 3753)
 
+# Boxes covering each interval of the dphi/dx certificate.
+DPHI_BOXES = 8
+
 
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of one certificate.
 
-    computed and claimed_bound are decimal strings at working precision
-    (for bundled comparisons: the tightest one).  margin is computed minus
-    bound as a float; passed requires the stated relation, every bundled
-    comparison, and both precision guards.  inconclusive marks a margin
-    too small for the working precision to be trusted.
+    computed is the end of the tightest comparison's enclosure nearest its
+    bound (the upper end for <, the lower end for >), so it is a guaranteed
+    value; computed and claimed_bound are decimal strings at working
+    precision.  margin is computed minus bound as a float.  passed requires
+    every comparison proven and every exact identity to hold.  inconclusive
+    marks an enclosure that straddles its bound while none is refuted.
     """
 
     id: str
@@ -74,205 +78,161 @@ class CertificateReport:
     notes: str
 
 
-def _ln2() -> mpmath.mpf:
-    return mpmath.log(2)
+# The helpers and builders below are generic over the arithmetic context ctx:
+# an mpmath.iv interval context in evaluate, plain mpmath for comparison.
+# _big_l needs nothing from the context and takes none.
 
 
-def _epsilon_k(k: int) -> mpmath.mpf:
-    """2(k-1)k ln2 / 2^k + (4k ln2 + 4)/2^k * (1 - 2(k-1)/2^k)."""
-    two_k = mpmath.mpf(2) ** k
-    ln2 = _ln2()
-    return (2 * (k - 1) * k * ln2) / two_k + (4 * k * ln2 + 4) / two_k * (
+def _epsilon_k(ctx, k: int, c: int = 4):
+    """epsilon_k = 2(k-1)k ln2 / 2^k + (4k ln2 + c)/2^k * (1 - 2(k-1)/2^k) with
+    c = 4; c = 2 gives beta_k."""
+    two_k = ctx.mpf(2) ** k
+    return (2 * (k - 1) * k * ctx.ln2) / two_k + (4 * k * ctx.ln2 + c) / two_k * (
         1 - 2 * (k - 1) / two_k
     )
 
 
-def _beta_k(k: int) -> mpmath.mpf:
-    """2(k-1)k ln2 / 2^k + (4k ln2 + 2)/2^k * (1 - 2(k-1)/2^k)."""
-    two_k = mpmath.mpf(2) ** k
-    ln2 = _ln2()
-    return (2 * (k - 1) * k * ln2) / two_k + (4 * k * ln2 + 2) / two_k * (
-        1 - 2 * (k - 1) / two_k
-    )
+def _beta_k(ctx, k: int):
+    return _epsilon_k(ctx, k, 2)
 
 
-def _alpha_k(k: int) -> mpmath.mpf:
+def _alpha_k(ctx, k: int):
     """Composed-recursion derivative bound
     2k(k-1)ln2/2^k * (1 - 1/(2^{k-1} k ln2)) * e^eps / ((1-2^{1-k})^2 (2-2^{-k} e^eps)^2)."""
-    two_k = mpmath.mpf(2) ** k
-    ln2 = _ln2()
-    eps = _epsilon_k(k)
-    front = (2 * k * (k - 1) * ln2) / two_k * (1 - 1 / (two_k / 2 * k * ln2))
-    denom = (1 - 2 / two_k) ** 2 * (2 - mpmath.exp(eps) / two_k) ** 2
-    return front * mpmath.exp(eps) / denom
+    two_k = ctx.mpf(2) ** k
+    eps = _epsilon_k(ctx, k)
+    front = (2 * k * (k - 1) * ctx.ln2) / two_k * (1 - 1 / (two_k / 2 * k * ctx.ln2))
+    denom = (1 - 2 / two_k) ** 2 * (2 - ctx.exp(eps) / two_k) ** 2
+    return front * ctx.exp(eps) / denom
 
 
-def _dphi_dx(k: int, d, x, ctx=mpmath):
-    """x-derivative of phi: 1/(1-x) + (d(1-1/k)-1) 2k x^{k-1}/(1-2x^k)
-    - (d-1)(k-1) x^{k-2}/(1-x^{k-1}).  Generic over an mpmath context like phi."""
-    return (
-        1 / (1 - x)
-        + (d * (1 - ctx.mpf(1) / k) - 1) * 2 * k * x ** (k - 1) / (1 - 2 * x**k)
-        - (d - 1) * (k - 1) * x ** (k - 2) / (1 - x ** (k - 1))
-    )
-
-
-def _dphi_dd(k: int, x, ctx=mpmath):
-    """d-derivative of phi: -(1-1/k) ln(1-2x^k) + ln(1-x^{k-1})."""
-    return -(1 - ctx.mpf(1) / k) * ctx.log(1 - 2 * x**k) + ctx.log(1 - x ** (k - 1))
-
-
-def _dpsi_dd(k: int, d, x, ctx=mpmath):
-    """d-derivative of the composed recursion: -w ln(v) / (2-w)^2 with
-    v = psi_hat(k, x) and w = v^(d-1)."""
-    v = psi_hat(k, x)
-    w = v ** (d - 1)
-    return -w * ctx.log(v) / (2 - w) ** 2
-
-
-def _big_l(d, x) -> mpmath.mpf:
+def _big_l(d, x):
     """L(d,x) = (1-x^2)^d ((1-x^2)^{d-1} - 2)^2 / (1-2x^2)^{d-2} - 2(d-1)x."""
-    d = mpmath.mpf(d)
-    x = mpmath.mpf(x)
     a = 1 - x**2
     b = 1 - 2 * x**2
     return a**d * (a ** (d - 1) - 2) ** 2 / b ** (d - 2) - 2 * (d - 1) * x
 
 
-def _grid(a: str, b: str, points: int):
-    lo = mpmath.mpf(a)
-    hi = mpmath.mpf(b)
-    step = (hi - lo) / (points - 1)
+def _grid(ctx, a: str, b: str, points: int):
+    lo = ctx.mpf(a)
+    step = (ctx.mpf(b) - lo) / (points - 1)
     return [lo + i * step for i in range(points)]
 
 
-# Each builder returns (parts, exact_failures) under the current mpmath
-# context.  A part is (value, bound, relation); exact_failures lists any
-# rational identities that did not hold.
+def _boxes(ctx, a: str, b: str, count: int):
+    """count boxes of an interval context whose union covers [a, b]."""
+    edges = _grid(ctx, a, b, count + 1)
+    return [ctx.mpf([lo.a, hi.b]) for lo, hi in zip(edges, edges[1:])]
 
 
-def _parts_alpha5():
-    return [(_alpha_k(5), mpmath.mpf("0.99"), "<")], []
+def _v0(ctx):
+    return ctx.mpf(V0_EXACT.numerator) / V0_EXACT.denominator
 
 
-def _parts_exp_beta5():
-    value = mpmath.exp(_beta_k(5)) * (1 + mpmath.mpf(2) ** -4)
-    return [(value, mpmath.mpf("3.7"), "<")], []
+# Each builder returns (parts, exact_failures).  A part is (value, bound,
+# relation) with the bound given as a decimal string or an integer;
+# exact_failures lists any rational identities that did not hold.
 
 
-def _parts_v0():
+def _parts_alpha5(ctx):
+    return [(_alpha_k(ctx, 5), "0.99", "<")], []
+
+
+def _parts_exp_beta5(ctx):
+    return [(ctx.exp(_beta_k(ctx, 5)) * (1 + ctx.mpf(2) ** -4), "3.7", "<")], []
+
+
+def _parts_v0(ctx):
     exact = psi_hat(4, Fraction(7, 16))
     failures = []
     if exact != V0_EXACT:
         failures.append(f"clause recursion at 7/16 gave {exact}, not {V0_EXACT}")
-    value = mpmath.mpf(V0_EXACT.numerator) / V0_EXACT.denominator
-    return [(value, mpmath.mpf("0.91"), "<")], failures
+    return [(_v0(ctx), "0.91", "<")], failures
 
 
-def _parts_v0_power():
-    v0 = mpmath.mpf(V0_EXACT.numerator) / V0_EXACT.denominator
-    return [(v0 ** mpmath.mpf("15.7"), mpmath.mpf("0.2221"), "<")], []
+def _parts_v0_power(ctx):
+    return [(_v0(ctx) ** ctx.mpf("15.7"), "0.2221", "<")], []
 
 
-def _parts_chain_24ln2():
-    mid = mpmath.mpf(16)
-    lhs = 24 * _ln2()
-    rhs = 1 / mpmath.log(mpmath.mpf(3753) / 3410) + 1
-    return [(lhs, mid, ">"), (mid, rhs, ">")], []
+def _parts_chain_24ln2(ctx):
+    rhs = 1 / ctx.log(ctx.mpf(3753) / 3410) + 1
+    return [(24 * ctx.ln2, 16, ">"), (rhs, 16, "<")], []
 
 
-def _parts_deriv_k4():
-    d0 = 24 * _ln2()
-    v0 = mpmath.mpf(V0_EXACT.numerator) / V0_EXACT.denominator
-    x0 = mpmath.mpf(7) / 16
-    value = (
-        3 * (d0 - 1) * v0 ** (d0 - 2) * (2 - v0) * (1 - v0) / ((2 - v0 ** (d0 - 1)) ** 2 * x0)
-    )
-    return [(value, mpmath.mpf("0.9"), "<")], []
+def _parts_deriv_k4(ctx):
+    value = psi_derivative(ModelParams(4, 24 * ctx.ln2), ctx.mpf(7) / 16)
+    return [(value, "0.9", "<")], []
 
 
-def _parts_f45():
-    ln2 = _ln2()
-    f4 = ln2 - mpmath.mpf(1) / 8 + mpmath.mpf("16.7") / 4 * mpmath.log(mpmath.mpf(7) / 8)
-    f5 = ln2 - mpmath.mpf(1) / 16 + 14 * ln2 * mpmath.log(mpmath.mpf(15) / 16)
-    return [(f4, mpmath.mpf("0.01"), ">"), (f5, mpmath.mpf("0.004"), ">")], []
+def _parts_f45(ctx):
+    f4 = ctx.ln2 - ctx.mpf(1) / 8 + ctx.mpf("16.7") / 4 * ctx.log(ctx.mpf(7) / 8)
+    f5 = ctx.ln2 - ctx.mpf(1) / 16 + 14 * ctx.ln2 * ctx.log(ctx.mpf(15) / 16)
+    return [(f4, "0.01", ">"), (f5, "0.004", ">")], []
 
 
-def _parts_g5():
-    value = mpmath.mpf(2) / 17 + mpmath.mpf(2) / 15 + (80 * _ln2() - 1) / 32
-    return [(value, mpmath.mpf("1.97"), "<")], []
+def _parts_g5(ctx):
+    value = ctx.mpf(2) / 17 + ctx.mpf(2) / 15 + (80 * ctx.ln2 - 1) / 32
+    return [(value, "1.97", "<")], []
 
 
-def _parts_phi_k4_ubd():
-    value = phi(ModelParams(4, 32 * _ln2()), mpmath.mpf(7) / 16, mpmath)
-    return [(value, mpmath.mpf("-0.08"), "<")], []
+def _parts_phi_k4_ubd(ctx):
+    return [(phi(ModelParams(4, 32 * ctx.ln2), ctx.mpf(7) / 16, ctx), "-0.08", "<")], []
 
 
-def _parts_phi_ubd_half():
-    parts = []
-    for k in range(4, 16):
-        d = mpmath.mpf(2) ** (k - 1) * k * _ln2()
-        parts.append((phi(ModelParams(k, d), mpmath.mpf(1) / 2, mpmath), mpmath.mpf(0), "<"))
-    return parts, []
+def _parts_phi_ubd_half(ctx):
+    half = ctx.mpf(1) / 2
+    params = [ModelParams(k, ctx.mpf(2) ** (k - 1) * k * ctx.ln2) for k in range(4, 16)]
+    return [(phi(p, half, ctx), 0, "<") for p in params], []
 
 
-def _parts_l_values():
-    x = mpmath.mpf(3) / 8
+def _parts_l_values(ctx):
+    x = ctx.mpf(3) / 8
     return [
-        (_big_l(mpmath.mpf("6.74"), x), mpmath.mpf("0.001"), ">"),
-        (_big_l(mpmath.mpf(6), x), mpmath.mpf("-0.2"), "<"),
+        (_big_l(ctx.mpf("6.74"), x), "0.001", ">"),
+        (_big_l(ctx.mpf(6), x), "-0.2", "<"),
     ], []
 
 
-def _parts_ratio_pow():
-    value = (mpmath.mpf(55) / 46) ** mpmath.mpf("5.74")
-    return [(value, mpmath.mpf("2.7"), ">")], []
+def _parts_ratio_pow(ctx):
+    return [((ctx.mpf(55) / 46) ** ctx.mpf("5.74"), "2.7", ">")], []
 
 
-def _parts_psi_bracket():
-    params = ModelParams(3, mpmath.mpf("6.74"))
+def _parts_psi_bracket(ctx):
+    params = ModelParams(3, ctx.mpf("6.74"))
     return [
-        (psi(params, mpmath.mpf("0.4464")), mpmath.mpf("0.44645"), ">"),
-        (psi(params, mpmath.mpf("0.45")), mpmath.mpf("0.449"), "<"),
+        (psi(params, ctx.mpf("0.4464")), "0.44645", ">"),
+        (psi(params, ctx.mpf("0.45")), "0.449", "<"),
     ], []
 
 
-def _parts_phi_left():
-    value = phi(ModelParams(3, mpmath.mpf("6.74")), mpmath.mpf("0.4464"), mpmath)
-    return [(value, mpmath.mpf("4e-5"), ">")], []
+def _parts_phi_left(ctx):
+    return [(phi(ModelParams(3, ctx.mpf("6.74")), ctx.mpf("0.4464"), ctx), "4e-5", ">")], []
 
 
-def _parts_phi_right():
-    value = phi(ModelParams(3, mpmath.mpf("7.5")), mpmath.mpf("0.48"), mpmath)
-    return [(value, mpmath.mpf("-0.04"), "<")], []
+def _parts_phi_right(ctx):
+    return [(phi(ModelParams(3, ctx.mpf("7.5")), ctx.mpf("0.48"), ctx), "-0.04", "<")], []
 
 
-def _parts_dphi_grids():
+def _parts_dphi_boxes(ctx):
     parts = []
-    for x in _grid("0.44", "0.45", 100):
-        parts.append((_dphi_dx(3, mpmath.mpf("6.74"), x), mpmath.mpf("0.1"), ">"))
-    for x in _grid("0.46", "0.48", 100):
-        parts.append((_dphi_dx(3, mpmath.mpf("7.5"), x), mpmath.mpf("0.04"), ">"))
+    for d, a, b, bound in (("6.74", "0.44", "0.45", "0.1"), ("7.5", "0.46", "0.48", "0.04")):
+        for x in _boxes(ctx, a, b, DPHI_BOXES):
+            parts.append((_dphi_dx(3, ctx.mpf(d), x, ctx), bound, ">"))
     return parts, []
 
 
-def _parts_eps_beta_monotone():
+def _parts_eps_beta_monotone(ctx):
     parts = []
-    for k in range(5, 15):
-        parts.append((_epsilon_k(k) - _epsilon_k(k + 1), mpmath.mpf(0), ">"))
-    for k in range(5, 15):
-        parts.append((_beta_k(k) - _beta_k(k + 1), mpmath.mpf(0), ">"))
+    for f in (_epsilon_k, _beta_k):
+        vals = [f(ctx, k) for k in range(5, 16)]
+        parts += [(a - b, 0, ">") for a, b in zip(vals, vals[1:])]
     return parts, []
 
 
-def _parts_l_convexity():
-    x = mpmath.mpf(3) / 8
-    ds = _grid("6", "7.5", 31)
-    vals = [_big_l(d, x) for d in ds]
-    parts = []
-    for i in range(1, len(vals) - 1):
-        parts.append((vals[i - 1] - 2 * vals[i] + vals[i + 1], mpmath.mpf(0), ">"))
-    return parts, []
+def _parts_l_convexity(ctx):
+    x = ctx.mpf(3) / 8
+    vals = [_big_l(d, x) for d in _grid(ctx, "6", "7.5", 31)]
+    return [(a - 2 * b + c, 0, ">") for a, b, c in zip(vals, vals[1:], vals[2:])], []
 
 
 _REGISTRY = {
@@ -293,11 +253,7 @@ _REGISTRY = {
     ),
     "G5": ("G(5) = 2/17 + 2/15 + (80 ln2 - 1)/32 < 1.97", _parts_g5, ""),
     "Phi_4_ubd": ("phi(k=4, d=32 ln2, x=7/16) < -0.08", _parts_phi_k4_ubd, ""),
-    "Phi_ubd_half": (
-        "phi(k, 2^(k-1) k ln2, 1/2) < 0 for k = 4..15",
-        _parts_phi_ubd_half,
-        "",
-    ),
+    "Phi_ubd_half": ("phi(k, 2^(k-1) k ln2, 1/2) < 0 for k = 4..15", _parts_phi_ubd_half, ""),
     "L_6.74": ("L(6.74, 3/8) > 0.001 and L(6, 3/8) < -0.2", _parts_l_values, ""),
     "ratio_5.74": ("(55/46)^5.74 > 2.7", _parts_ratio_pow, ""),
     "Psi_6.74_bracket": (
@@ -308,16 +264,14 @@ _REGISTRY = {
     "Phi_6.74_0.4464": ("phi(k=3, 6.74, 0.4464) > 4e-5", _parts_phi_left, ""),
     "Phi_7.5_0.48": ("phi(k=3, 7.5, 0.48) < -0.04", _parts_phi_right, ""),
     "dPhi_grid": (
-        "dphi/dx(k=3, 6.74, x) > 0.1 on 100 points of [0.44, 0.45]; "
-        "dphi/dx(k=3, 7.5, x) > 0.04 on 100 points of [0.46, 0.48]",
-        _parts_dphi_grids,
-        "the second grid is evaluated at d = 7.5, the degree its bound belongs to, "
-        "although a 6.74 label is sometimes attached to that display",
+        "dphi/dx(k=3, 6.74, x) > 0.1 on [0.44, 0.45]; dphi/dx(k=3, 7.5, x) > 0.04 on [0.46, 0.48]",
+        _parts_dphi_boxes,
+        f"each interval is covered by {DPHI_BOXES} boxes; the second is evaluated at "
+        "d = 7.5, the degree its bound belongs to, although a 6.74 label is sometimes "
+        "attached to that display",
     ),
     "eps_beta_decreasing": (
-        "epsilon_k and beta_k both strictly decreasing for k = 5..15",
-        _parts_eps_beta_monotone,
-        "",
+        "epsilon_k and beta_k both strictly decreasing for k = 5..15", _parts_eps_beta_monotone, ""
     ),
     "L_convexity": (
         "second difference of d -> L(d, 3/8) positive on a 31-point grid over [6, 7.5]",
@@ -331,14 +285,34 @@ def certificate_ids() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def _goodness(value, bound, relation) -> mpmath.mpf:
-    return bound - value if relation == "<" else value - bound
+def _status(value, above=None, below=None) -> str:
+    """Decide above < value < below on an mpmath.iv interval: "proven" when
+    every point of it satisfies the claim, "refuted" when none does, and
+    "open" otherwise."""
+    checks = []
+    if above is not None:
+        checks.append(value > above)
+    if below is not None:
+        checks.append(value < below)
+    if all(c is True for c in checks):
+        return "proven"
+    if any(c is False for c in checks):
+        return "refuted"
+    return "open"
+
+
+def _verdict(statuses) -> tuple[bool, bool]:
+    """(passed, inconclusive): passed when every status is proven,
+    inconclusive when some is open and none is refuted."""
+    passed = all(s == "proven" for s in statuses)
+    return passed, not passed and "refuted" not in statuses
 
 
 def evaluate(
     id: str, precision_digits: int = DEFAULT_DIGITS, flip_relation: bool = False
 ) -> CertificateReport:
-    """Evaluate one certificate with the margin and re-evaluation guards.
+    """Build one certificate once, in an mpmath.iv context at precision_digits
+    significant digits, and decide each comparison on its enclosure.
 
     flip_relation inverts every comparison; a sound harness must then fail
     the certificate (negative control).
@@ -348,44 +322,43 @@ def evaluate(
     if precision_digits < 50:
         raise ValueError(f"need precision_digits >= 50, got {precision_digits}")
     expression, builder, base_notes = _REGISTRY[id]
-
-    def flip(rel: str) -> str:
-        if not flip_relation:
-            return rel
-        return "<" if rel == ">" else ">"
-
+    iv = MPIntervalContext()
+    iv.dps = precision_digits
+    parts, exact_failures = builder(iv)
+    decided = []
     with mpmath.workdps(precision_digits):
-        parts, exact_failures = builder()
-        parts = [(v, b, flip(r)) for v, b, r in parts]
-        binding = min(range(len(parts)), key=lambda i: _goodness(*parts[i]))
-        value, bound, relation = parts[binding]
-        ok = all(_goodness(*p) > 0 for p in parts) and not exact_failures
-        margin_mp = value - bound
-        computed_str = mpmath.nstr(value, precision_digits)
-        bound_str = mpmath.nstr(bound, precision_digits)
-    with mpmath.workdps(2 * precision_digits):
-        parts_hi, _ = builder()
-        value_hi = parts_hi[binding][0]
-        drift = abs(value_hi - value)
-        guard_floor = mpmath.mpf(10) ** (-(precision_digits // 2))
-        inconclusive = abs(margin_mp) <= guard_floor or not drift < abs(margin_mp) / 100
-    notes = base_notes
-    if exact_failures:
-        notes = "; ".join([notes] * bool(notes) + exact_failures)
+        for value, bound, relation in parts:
+            if flip_relation:
+                relation = "<" if relation == ">" else ">"
+            if relation == "<":
+                status, end = _status(value, below=iv.mpf(bound)), mpmath.mpf(value.b)
+            else:
+                status, end = _status(value, above=iv.mpf(bound)), mpmath.mpf(value.a)
+            decided.append((status, end, bound, relation, end - mpmath.mpf(bound)))
+        # the tightest comparison has the smallest guaranteed slack
+        _, end, bound, relation, margin = min(
+            decided, key=lambda p: -p[4] if p[3] == "<" else p[4]
+        )
+        computed = mpmath.nstr(end, precision_digits)
+        claimed_bound = mpmath.nstr(mpmath.mpf(bound), precision_digits)
+    passed, inconclusive = _verdict(
+        [p[0] for p in decided] + ["refuted"] * len(exact_failures)
+    )
+    notes = [base_notes, *exact_failures]
     if inconclusive:
-        tag = "inconclusive: margin too small for the working precision"
-        notes = f"{notes}; {tag}" if notes else tag
+        notes.append("inconclusive: an enclosure straddles its bound")
+    notes = "; ".join(n for n in notes if n)
     if len(parts) > 1 and not notes:
         notes = f"tightest of {len(parts)} comparisons shown"
     return CertificateReport(
         id=id,
         expression=expression,
-        computed=computed_str,
-        claimed_bound=bound_str,
+        computed=computed,
+        claimed_bound=claimed_bound,
         relation=relation,
-        margin=float(margin_mp),
-        passed=bool(ok) and not inconclusive,
-        inconclusive=bool(inconclusive),
+        margin=float(margin),
+        passed=passed,
+        inconclusive=inconclusive,
         notes=notes,
     )
 
@@ -440,18 +413,7 @@ class ThresholdCertificate:
 
 def _enclosure(claim: str, value, above=None, below=None) -> Enclosure:
     """Decide above < value < below on an mpmath.iv interval."""
-    checks = []
-    if above is not None:
-        checks.append(value > above)
-    if below is not None:
-        checks.append(value < below)
-    if all(c is True for c in checks):
-        status = "proven"
-    elif any(c is False for c in checks):
-        status = "refuted"
-    else:
-        status = "open"
-    return Enclosure(claim, float(value.a), float(value.b), status)
+    return Enclosure(claim, float(value.a), float(value.b), _status(value, above, below))
 
 
 def _phi_star_enclosure(iv, k: int, d: int):
@@ -494,8 +456,7 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
         [ceil, d_ubd] x X, so phi_star has no zero in [ceil, d_ubd].
 
     Together they put the largest zero in (ceil - 1, ceil).  Kept outside
-    the registry: the proof is the enclosure itself, so evaluate's
-    precision-drift guards do not apply.
+    the registry because its claims depend on k and ceil.
     """
     window = degree_window(k)
     if int(ceil) != ceil:
@@ -546,9 +507,7 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
         _enclosure(f"dphi_star/dd < 0 on [{ceil}, d_ubd] x [1/2 - 2^-{k}, 1/2]", slope, below=0)
     )
 
-    statuses = {e.status for e in enclosures}
-    passed = statuses == {"proven"}
-    inconclusive = not passed and "refuted" not in statuses
+    passed, inconclusive = _verdict([e.status for e in enclosures])
     if passed:
         notes = f"the largest zero of phi_star in the window lies in ({ceil - 1}, {ceil})"
     else:

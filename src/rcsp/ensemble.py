@@ -254,7 +254,7 @@ def _blocks(inst: NaeInstance):
     """
     inner = min(inst.n, CHUNK_VARS)
     fixed = inst.n - inner
-    dtype = np.uint8 if inst.m <= 255 else np.uint16
+    dtype = np.min_scalar_type(inst.m)  # the narrowest unsigned type holding m
     groups = {(0, 0): np.zeros((2,) * inner, dtype)}
     for sides in _clause_pin_patterns(inst):
         for vars_, bits in sides:

@@ -47,6 +47,7 @@ __all__ = [
     "beta_scaling_scan",
 ]
 
+# Largest states x law entries product one lattice step builds before merging.
 MAX_PRODUCT_STATES = 10_000_000
 MAX_REFERENCE_TUPLES = 2_000_000
 MAX_ATOMS = 5
@@ -350,6 +351,11 @@ class _LatticeState:
             )
         if self.steps_taken >= _KEY_OFF - 1:
             raise SupportBlowupError(f"more than {_KEY_OFF - 1} product steps")
+        if len(self.keys) * len(q) > MAX_PRODUCT_STATES:
+            raise SupportBlowupError(
+                f"product of {len(self.keys)} states and {len(q)} law entries "
+                f"exceeds {MAX_PRODUCT_STATES}"
+            )
         enc = np.zeros(len(q), dtype=np.int64)
         for i, (r, s) in enumerate(zip(dims, signs)):
             if r >= 0:
@@ -357,10 +363,6 @@ class _LatticeState:
         new_keys = (self.keys[:, None] + enc[None, :]).ravel()
         new_probs = (self.probs[:, None] * q[None, :]).ravel()
         keys, inv = np.unique(new_keys, return_inverse=True)
-        if len(keys) > MAX_PRODUCT_STATES:
-            raise SupportBlowupError(
-                f"product support {len(keys)} exceeds {MAX_PRODUCT_STATES}"
-            )
         self.keys = keys
         self.probs = np.bincount(inv, weights=new_probs, minlength=len(keys))
         self.steps_taken += 1

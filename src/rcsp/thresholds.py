@@ -12,10 +12,13 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+import mpmath
+
 from .bp import (
     BracketError,
     DegreeWindow,
     ModelParams,
+    _bisect,
     degree_window,
     solve_fixed_point,
 )
@@ -84,6 +87,21 @@ def phi(params: ModelParams, x, ctx=_FLOAT):
     )
 
 
+def _dphi_dx(k: int, d, x, ctx=mpmath):
+    """x-derivative of phi: 1/(1-x) + (d(1-1/k)-1) 2k x^{k-1}/(1-2x^k)
+    - (d-1)(k-1) x^{k-2}/(1-x^{k-1}).  Generic over an mpmath context like phi."""
+    return (
+        1 / (1 - x)
+        + (d * (1 - ctx.mpf(1) / k) - 1) * 2 * k * x ** (k - 1) / (1 - 2 * x**k)
+        - (d - 1) * (k - 1) * x ** (k - 2) / (1 - x ** (k - 1))
+    )
+
+
+def _dphi_dd(k: int, x, ctx=mpmath):
+    """d-derivative of phi: -(1-1/k) ln(1-2x^k) + ln(1-x^{k-1})."""
+    return -(1 - ctx.mpf(1) / k) * ctx.log(1 - 2 * x**k) + ctx.log(1 - x ** (k - 1))
+
+
 def phi_star(params: ModelParams, tol: float = 1e-12, *, certify: bool = False) -> float:
     """phi evaluated at the solved BP fixed point.
 
@@ -134,15 +152,7 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
         if vals[i] < 0 <= vals[i + 1] or vals[i] >= 0 > vals[i + 1]:
             sign_changes.append((ds[i + 1], ds[i]))
 
-    d_neg, d_pos = sign_changes[0][1], sign_changes[0][0]
-    while d_neg - d_pos > tol:
-        mid = 0.5 * (d_pos + d_neg)
-        if mid == d_pos or mid == d_neg:
-            break
-        if f(mid) > 0:
-            d_pos = mid
-        else:
-            d_neg = mid
+    d_pos, d_neg = _bisect(lambda mid: f(mid) > 0, *sign_changes[0], tol)
     root = 0.5 * (d_pos + d_neg)
 
     d1 = d_first_moment(k)

@@ -1,10 +1,11 @@
-"""Unit tests for the high-precision inequality certificates."""
+"""Unit tests for the interval-arithmetic inequality certificates."""
 
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 
 from rcsp import certificates
 from rcsp.bp import ModelParams, psi, psi_hat
@@ -111,6 +112,57 @@ def test_margin_stable_at_higher_precision(cid):
     fine = evaluate(cid, precision_digits=100)
     assert fine.passed == base.passed
     assert fine.margin == pytest.approx(base.margin, rel=1e-6)
+
+
+def test_straddling_enclosure_is_inconclusive(monkeypatch):
+    # an enclosure of [0.9, 1.1] against the bound 1 proves neither relation
+    def straddle(ctx):
+        return [(ctx.mpf(["0.9", "1.1"]), 1, "<")], []
+
+    monkeypatch.setitem(certificates._REGISTRY, "straddle", ("x < 1", straddle, ""))
+    for flip in (False, True):
+        rep = evaluate("straddle", flip_relation=flip)
+        assert rep.inconclusive and not rep.passed, rep
+        assert "straddles" in rep.notes
+    # the reported value is the enclosure's end nearest the bound
+    assert evaluate("straddle").computed == "1.1"
+    assert evaluate("straddle", flip_relation=True).computed == "0.9"
+
+
+@pytest.mark.parametrize("cid", [c for c in EXPECTED_IDS if c != "dPhi_grid"])
+def test_point_values_lie_in_their_enclosures(cid):
+    # every id but dPhi_grid (whose parts are boxes) is point-valued: the
+    # same builder under plain mpmath must land inside each enclosure
+    builder = certificates._REGISTRY[cid][1]
+    iv = MPIntervalContext()
+    iv.dps = 50
+    enclosed, _ = builder(iv)
+    with mpmath.workdps(50):
+        points, _ = builder(mpmath)
+        assert len(points) == len(enclosed)
+        for (value, bound, rel), (box, box_bound, box_rel) in zip(points, enclosed):
+            assert (bound, rel) == (box_bound, box_rel)
+            assert isinstance(value, mpmath.mpf)
+            assert value in box
+            assert box.delta < mpmath.mpf(10) ** -45
+
+
+def test_dphi_boxes_bound_the_old_grid():
+    # the box cover's guaranteed lower end may not exceed any point value
+    rep = evaluate("dPhi_grid")
+    with mpmath.workdps(50):
+        d, step = mpmath.mpf("6.74"), mpmath.mpf("0.01") / 99
+        lowest = min(_dphi_dx(3, d, mpmath.mpf("0.44") + i * step, mpmath) for i in range(100))
+        assert mpmath.mpf("0.1") < mpmath.mpf(rep.computed) <= lowest
+    assert rep.relation == ">" and rep.claimed_bound == "0.1"
+    # and the boxes leave no gap in either interval
+    iv = MPIntervalContext()
+    iv.dps = 50
+    for a, b in (("0.44", "0.45"), ("0.46", "0.48")):
+        boxes = certificates._boxes(iv, a, b, certificates.DPHI_BOXES)
+        with mpmath.workdps(100):
+            assert boxes[0].a <= mpmath.mpf(a) and mpmath.mpf(b) <= boxes[-1].b
+        assert all(right.a <= left.b for left, right in zip(boxes, boxes[1:]))
 
 
 @pytest.mark.parametrize("k, d, x", ((13, "36901.5", "0.49995"), (4, "19.5", "0.45")))

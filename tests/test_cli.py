@@ -331,10 +331,14 @@ ENDS_CLEANLY = (
     (["dstar", "--k", "22"], 0),
     (["dstar", "--k", "3", "--tol", "1e-300"], 0),
     (["dstar", "--k", "3", "--tol", "nan"], 1),
+    (["dstar", "--k", "1100"], 1),
+    (["fixpoint", "--k", "1100", "--d", "5"], 1),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "1e-300"], 2),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "nan"], 1),
     (["firstmo", "--k", "3", "--d", "3", "--n", "0"], 1),
     (["firstmo", "--k", "3", "--d", "0", "--n", "3"], 1),
+    (["firstmo", "--k", "3", "--d", "3", "--n", "100000"], 1),
+    (["interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"], 2),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),
     (CONCENTRATE + ["--beta", "nan"], 1),

@@ -180,6 +180,9 @@ def test_blocks_clashing_bits_and_uint16(monkeypatch):
         monkeypatch.setattr(en, "CHUNK_VARS", chunk)
         assert violation_histogram(wide) == expected
         assert count_solutions(wide) == count_solutions_dfs(wide) == expected[0]
+    # m = 70000 needs uint32: in uint16 the counts wrapped to 4464 and 34924
+    wider = sample_instance(2, 2, 70000, 1, model="coloring")
+    assert violation_histogram(wider) == brute_histogram(wider)
 
 
 @pytest.mark.parametrize("build", (violation_histogram, count_solutions))
