@@ -30,6 +30,11 @@ __all__ = [
     "contraction_certificate",
 ]
 
+# Largest supported clause size.  [1/2 - 2^-k, 1/2] holds 2^(54-k) + 1
+# doubles: five at k = 52, where the window's ends and middle still solve,
+# and three at k = 53, where bisection fails at the window's ends.
+MAX_K = 52
+
 
 class BracketError(ValueError):
     """Endpoint signs of psi(x) - x are wrong; degree outside the window."""
@@ -95,21 +100,17 @@ class BpFixedPoint:
 def degree_window(k: int) -> DegreeWindow:
     """Supported degree window for clause size k.
 
-    k=3 and k=4 use hand-tuned endpoints; for k >= 5 the window is
-    [(2^(k-1) - 2) k ln2, 2^(k-1) k ln2].
+    k=3 and k=4 use hand-tuned endpoints; for 5 <= k <= MAX_K the window
+    is [(2^(k-1) - 2) k ln2, 2^(k-1) k ln2].
     """
     if int(k) != k or k < 3:
         raise ValueError(f"k must be an integer >= 3, got {k!r}")
+    _domain(k)  # rejects k > MAX_K
     if k == 3:
         return DegreeWindow(6.74, 7.5)
     if k == 4:
         return DegreeWindow(16.7, 2 ** (k - 1) * k * math.log(2))
-    try:
-        return DegreeWindow(
-            (2 ** (k - 1) - 2) * k * math.log(2), 2 ** (k - 1) * k * math.log(2)
-        )
-    except OverflowError:
-        raise ValueError(f"the degree window for k={k} does not fit in a float") from None
+    return DegreeWindow((2 ** (k - 1) - 2) * k * math.log(2), 2 ** (k - 1) * k * math.log(2))
 
 
 def psi_hat(k: int, x):
@@ -176,6 +177,12 @@ def _dpsi_dd(k: int, d, x, ctx=mpmath):
 
 
 def _domain(k: int) -> tuple[float, float]:
+    """The fixed-point interval [1/2 - 2^-k, 1/2], for k <= MAX_K."""
+    if k > MAX_K:
+        raise ValueError(
+            f"k={k} exceeds {MAX_K}: below 1/2 doubles are 2^-54 apart, so "
+            f"[1/2 - 2^-{k}, 1/2] holds too few of them to resolve the fixed point"
+        )
     return 0.5 - 2.0 ** (-k), 0.5
 
 

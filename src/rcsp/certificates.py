@@ -7,10 +7,10 @@ precision guard is needed: a proven claim is a bound on an enclosure.
 
 The registry holds the inequalities used by the contraction, bracketing, or
 free-energy-sign analysis.  evaluate builds one of them once, in an interval
-context at 50 or more significant digits.  A certificate may bundle several
-elementary comparisons (a chained inequality, a cover of an interval by
-boxes, a monotone sequence); the reported computed/bound/margin always belong
-to the tightest comparison, and the notes field records the rest.
+context at 50 to MAX_DIGITS significant digits.  A certificate may bundle
+several elementary comparisons (a chained inequality, a cover of an interval
+by boxes, a monotone sequence); the reported computed/bound/margin always
+belong to the tightest comparison, and the notes field records the rest.
 
 certify_ceil_d_star proves a threshold ceiling by the same rule, on a
 Krawczyk enclosure of the fixed point.
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_DIGITS = 50
+# verify_all takes about 0.5 s at 1000 digits and grows about quadratically.
+MAX_DIGITS = 1000
 
 V0_EXACT = Fraction(3410, 3753)
 
@@ -319,8 +321,8 @@ def evaluate(
     """
     if id not in _REGISTRY:
         raise KeyError(f"unknown certificate id {id!r}")
-    if precision_digits < 50:
-        raise ValueError(f"need precision_digits >= 50, got {precision_digits}")
+    if not 50 <= precision_digits <= MAX_DIGITS:
+        raise ValueError(f"need 50 <= precision_digits <= {MAX_DIGITS}, got {precision_digits}")
     expression, builder, base_notes = _REGISTRY[id]
     iv = MPIntervalContext()
     iv.dps = precision_digits

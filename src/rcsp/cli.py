@@ -29,7 +29,7 @@ from fractions import Fraction
 import mpmath
 
 from .bp import BracketError, ModelParams, solve_fixed_point
-from .certificates import DEFAULT_DIGITS, CertificateReport, evaluate, verify_all
+from .certificates import DEFAULT_DIGITS, MAX_DIGITS, CertificateReport, evaluate, verify_all
 from .ensemble import (
     ConcentrationStat,
     GibbsSummary,
@@ -360,7 +360,8 @@ def _concentrate(args):
         "--digits",
         type=int,
         default=DEFAULT_DIGITS,
-        help=f"working precision in significant digits (default {DEFAULT_DIGITS})",
+        help=f"working precision in significant digits, 50 to {MAX_DIGITS} "
+        f"(default {DEFAULT_DIGITS})",
     ),
     *_OUTPUT,
 )

@@ -18,6 +18,18 @@ over an integer lattice: each clause-law entry contributes one signed unit
 step along a small basis of distinct values of ln u(1) - ln u(0), so
 states with equal step counts merge exactly and the product support stays
 polynomial in d instead of exponential.
+
+One product step adds each law entry's encoded step to every state key.
+The keys are sorted and unique, so each entry yields a sorted run of new
+keys.  The runs are laid out entry by entry, in descending order of the
+entry's step (ties in entry order), and merged by one stable sort; equal
+keys are then summed with np.bincount in merged order.  Within one merged
+key the terms arrive in ascending order of their source state, and for one
+source state in entry order.  That is the order in which the state-major
+product (state i, then entry j), reduced by np.unique and np.bincount,
+adds them, so both give the same probabilities to the last bit.  Neither
+np.add.reduceat (pairwise summation) nor pre-merging entries that share a
+step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that order.
 """
 
 from __future__ import annotations
@@ -334,7 +346,10 @@ class _LatticeState:
     A key is sum_r m_r 2^(7r) with step counts |m_r| <= 62; adding the
     constant base sum_r 63*2^(7r) makes every 7-bit field the digit
     m_r + 63 in [1, 125], so distinct count vectors give distinct keys and
-    decoding is field extraction.
+    decoding is field extraction.  keys stay sorted and unique, and step
+    merges its per-entry sorted runs in the summation order the module
+    docstring derives, after checking the product against
+    MAX_PRODUCT_STATES and before allocating it.
     """
 
     def __init__(self, registry: _StepRegistry) -> None:
@@ -360,11 +375,18 @@ class _LatticeState:
         for i, (r, s) in enumerate(zip(dims, signs)):
             if r >= 0:
                 enc[i] = s * (1 << (_KEY_BITS * r))
-        new_keys = (self.keys[:, None] + enc[None, :]).ravel()
-        new_probs = (self.probs[:, None] * q[None, :]).ravel()
-        keys, inv = np.unique(new_keys, return_inverse=True)
-        self.keys = keys
-        self.probs = np.bincount(inv, weights=new_probs, minlength=len(keys))
+        order = np.argsort(-enc, kind="stable")
+        enc, q = enc[order], q[order]
+        # one sorted run per law entry; the stable sort merges the runs
+        new_keys = (enc[:, None] + self.keys[None, :]).ravel()
+        new_probs = (q[:, None] * self.probs[None, :]).ravel()
+        perm = np.argsort(new_keys, kind="stable")
+        sorted_keys = new_keys[perm]
+        del new_keys
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        gid = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(sorted_keys)))
+        self.keys = sorted_keys[starts]
+        self.probs = np.bincount(gid, weights=new_probs[perm], minlength=len(starts))
         self.steps_taken += 1
 
     def log_moment(self, lam: float) -> float:
@@ -423,19 +445,16 @@ def _first_term_reference(laws, d: float, lam: float) -> float:
     def term(n_clauses: int) -> float:
         if n_clauses == 0:
             return math.log(2.0)
-        sizes = [len(law.entries) for law in laws[:n_clauses]]
-        count = math.prod(sizes)
+        count = math.prod(len(law.entries) for law in laws[:n_clauses])
         if count > MAX_REFERENCE_TUPLES:
             raise SupportBlowupError(f"{count} reference tuples exceed the budget")
-        logs = np.empty(count)
-        for i, combo in enumerate(
-            itertools.product(*(law.entries for law in laws[:n_clauses]))
-        ):
-            lp = sum(math.log(e[2]) for e in combo)
-            l0 = sum(e[0] for e in combo)
-            l1 = sum(e[1] for e in combo)
-            logs[i] = lp + lam * np.logaddexp(l0, l1)
-        return _logsumexp(logs) / lam
+        # running outer sums, first clause slowest: one row per tuple
+        lp = l0 = l1 = np.zeros(1)
+        for law in laws[:n_clauses]:
+            lp = (lp[:, None] + np.array([math.log(e[2]) for e in law.entries])).ravel()
+            l0 = (l0[:, None] + np.array([e[0] for e in law.entries])).ravel()
+            l1 = (l1[:, None] + np.array([e[1] for e in law.entries])).ravel()
+        return _logsumexp(lp + lam * np.logaddexp(l0, l1)) / lam
 
     d_floor = int(math.floor(d))
     frac = d - d_floor

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcsp.bp import (
+    MAX_K,
     BpFixedPoint,
     BracketError,
     DegreeWindow,
@@ -53,6 +54,22 @@ def test_window_values():
     assert w5.d_ubd == pytest.approx(80 * math.log(2), rel=1e-15)
     with pytest.raises(ValueError):
         degree_window(2)
+
+
+def test_clause_size_limit_names_float_resolution():
+    # at MAX_K every degree of the window still solves; one more and the
+    # interval [1/2 - 2^-k, 1/2] is too few doubles wide, whatever d is
+    w = degree_window(MAX_K)
+    for d in (w.d_lbd, 0.5 * (w.d_lbd + w.d_ubd), w.d_ubd):
+        assert 0.5 - 2.0**-MAX_K <= solve_fixed_point(ModelParams(MAX_K, d)).x <= 0.5
+    for call in (
+        lambda: degree_window(MAX_K + 1),
+        lambda: solve_fixed_point(ModelParams(MAX_K + 1, 5.0)),
+        lambda: solve_fixed_point(ModelParams(1100, 5.0)),
+    ):
+        with pytest.raises(ValueError, match=r"2\^-54") as info:
+            call()
+        assert not isinstance(info.value, BracketError)
 
 
 def test_psi_hat_exact_rationals():

@@ -10,6 +10,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from rcsp import certificates
 from rcsp.bp import ModelParams, psi, psi_hat
 from rcsp.certificates import (
+    MAX_DIGITS,
     V0_EXACT,
     _dphi_dd,
     _dphi_dx,
@@ -102,6 +103,8 @@ def test_tight_margins_are_resolved():
 def test_precision_floor_and_unknown_id():
     with pytest.raises(ValueError):
         evaluate("alpha5", precision_digits=30)
+    with pytest.raises(ValueError, match=str(MAX_DIGITS)):
+        evaluate("alpha5", precision_digits=MAX_DIGITS + 1)
     with pytest.raises(KeyError):
         evaluate("no_such_certificate")
 

@@ -332,6 +332,11 @@ ENDS_CLEANLY = (
     (["dstar", "--k", "3", "--tol", "1e-300"], 0),
     (["dstar", "--k", "3", "--tol", "nan"], 1),
     (["dstar", "--k", "1100"], 1),
+    (["dstar", "--k", "47"], 0),
+    (["dstar", "--k", "53"], 1),
+    (["dstar", "--k", "56"], 1),
+    (["fixpoint", "--k", "52", "--d", "8.116309198614963e16"], 0),
+    (["fixpoint", "--k", "60", "--d", "5"], 1),
     (["fixpoint", "--k", "1100", "--d", "5"], 1),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "1e-300"], 2),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "nan"], 1),
@@ -339,6 +344,7 @@ ENDS_CLEANLY = (
     (["firstmo", "--k", "3", "--d", "0", "--n", "3"], 1),
     (["firstmo", "--k", "3", "--d", "3", "--n", "100000"], 1),
     (["interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"], 2),
+    (["certify", "--digits", "1001"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),
     (CONCENTRATE + ["--beta", "nan"], 1),

@@ -1,9 +1,14 @@
 """Unit tests for the interpolation functional and its supporting laws."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcsp import interp
 from rcsp.bp import BracketError, ModelParams
 from rcsp.interp import (
     AtomicMeasure,
@@ -208,3 +213,77 @@ def test_beta_scan_rows():
         )
     with pytest.raises(ValueError):
         beta_scaling_scan(ModelParams(3, 7.4), [-1.0])
+
+
+@st.composite
+def lattice_walks(draw):
+    """1-4 step directions and 1-6 product steps; each law entry moves one
+    unit along a direction (dim -1: no step), so encoded steps repeat often."""
+    n_dims = draw(st.integers(1, 4))
+    entry = st.tuples(st.integers(-1, n_dims - 1), st.sampled_from((-1, 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        moves = draw(st.lists(entry, min_size=1, max_size=6))
+        q = draw(
+            st.lists(st.floats(1e-6, 1.0), min_size=len(moves), max_size=len(moves))
+        )
+        steps.append((q, moves))
+    return n_dims, steps
+
+
+def _walk(n_dims, steps):
+    registry = interp._StepRegistry()
+    registry.values = [float(r + 1) for r in range(n_dims)]
+    state = interp._LatticeState(registry)
+    for q, moves in steps:
+        state.step(np.array(q), [r for r, _ in moves], [s for _, s in moves])
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_walks())
+def test_lattice_step_matches_state_major_sum_bitwise(walk):
+    n_dims, steps = walk
+    # states ascending, law entries in index order: the summation order of
+    # the state-major product reduced by np.unique and np.bincount
+    expected = {0: 1.0}
+    for q, moves in steps:
+        new = {}
+        for key in sorted(expected):
+            for qj, (r, s) in zip(q, moves):
+                target = key + (s << (interp._KEY_BITS * r) if r >= 0 else 0)
+                new[target] = new.get(target, 0.0) + expected[key] * qj
+        expected = new
+    state = _walk(n_dims, steps)
+    assert state.keys.tolist() == sorted(expected)
+    assert state.probs.tolist() == [expected[key] for key in sorted(expected)]
+
+
+def test_lattice_step_checks_budget_before_building(monkeypatch):
+    n_states, n_entries = 1000, 200
+    product_bytes = 8 * n_states * n_entries  # each product array
+    q = np.full(n_entries, 1.0 / n_entries)
+    moves = ([0] * n_entries, [1] * n_entries)
+
+    def traced_step(limit):
+        """(state, traced peak bytes, SupportBlowupError or None) of one step."""
+        monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", limit)
+        state = _walk(1, [])
+        state.keys = np.arange(n_states, dtype=np.int64)
+        state.probs = np.full(n_states, 1.0 / n_states)
+        error = None
+        tracemalloc.start()
+        try:
+            state.step(q, *moves)
+        except SupportBlowupError as exc:
+            error = exc
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return state, peak, error
+
+    state, peak, error = traced_step(n_states * n_entries)
+    assert error is None and peak >= product_bytes  # the trace sees the product
+    state, peak, error = traced_step(n_states * n_entries - 1)
+    assert "exceeds" in str(error)
+    assert peak < product_bytes // 4
+    assert state.steps_taken == 0 and len(state.keys) == n_states
