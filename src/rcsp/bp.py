@@ -35,6 +35,9 @@ __all__ = [
 # and three at k = 53, where bisection fails at the window's ends.
 MAX_K = 52
 
+# Points of the grid on which a checked solve estimates sup |psi'|.
+DERIVATIVE_GRID = 1000
+
 
 class BracketError(ValueError):
     """Endpoint signs of psi(x) - x are wrong; degree outside the window."""
@@ -84,10 +87,10 @@ class BpFixedPoint:
 
     residual is |psi(x) - x|.  bracket is the final bisection interval.
     max_derivative is a grid estimate of sup |psi'| over the solve interval
-    (an estimate, not a proof); it is None when the grid was skipped.
-    iteration_gap is the largest disagreement between the bisection answer
-    and fixed-point iteration started from both interval endpoints (the
-    uniqueness witness); None when the witness was skipped.
+    (an estimate, not a proof).  iteration_gap is the largest disagreement
+    between the bisection answer and fixed-point iteration started from
+    both interval endpoints (the uniqueness witness).  Both are None when
+    the solve ran with check=False.
     """
 
     x: float
@@ -208,19 +211,19 @@ def solve_fixed_point(
     params: ModelParams,
     tol: float = 1e-12,
     *,
-    witness: bool = True,
-    derivative_grid: int = 1000,
+    check: bool = True,
 ) -> BpFixedPoint:
     """Solve psi(x) = x on [1/2 - 2^-k, 1/2] by bisection.
 
     Endpoint signs of g(x) = psi(x) - x are asserted before bisecting
     (g > 0 on the left, g < 0 on the right); failure raises BracketError,
     which signals a degree outside the supported window.  Bisection stops
-    at width tol or at adjacent floats, whichever comes first.  When witness
+    at width tol or at adjacent floats, whichever comes first.  When check
     is true, fixed-point iteration from both endpoints must land within
     10*tol of the bisection answer, certifying uniqueness under the
-    contraction property.  derivative_grid = 0 skips the grid estimate of
-    sup |psi'| (useful inside dense scans).
+    contraction property, and sup |psi'| is estimated on a
+    DERIVATIVE_GRID-point grid.  check=False skips both (dense scans rely
+    on it).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -242,8 +245,8 @@ def solve_fixed_point(
     x = 0.5 * (a + b)
     residual = abs(psi(params, x) - x)
 
-    iteration_gap = None
-    if witness:
+    iteration_gap = max_derivative = None
+    if check:
         gaps = []
         for start in (lo, hi):
             y = start
@@ -262,11 +265,7 @@ def solve_fixed_point(
                 f"fixed-point iteration disagrees with bisection by "
                 f"{iteration_gap:.3e} > 10*tol; uniqueness witness failed"
             )
-
-    max_derivative = None
-    if derivative_grid:
-        xs = np.linspace(lo, hi, derivative_grid)
-        max_derivative = float(np.max(np.abs(psi_derivative(params, xs))))
+        max_derivative = _max_derivative(params, DERIVATIVE_GRID)
 
     return BpFixedPoint(
         x=x,
@@ -286,6 +285,11 @@ def contraction_certificate(params: ModelParams, grid_size: int = 10_000) -> flo
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
+    return _max_derivative(params, grid_size)
+
+
+def _max_derivative(params: ModelParams, grid_size: int) -> float:
+    """max |psi'| over grid_size uniformly spaced points of [1/2 - 2^-k, 1/2]."""
     lo, hi = _domain(params.k)
     xs = np.linspace(lo, hi, grid_size)
     return float(np.max(np.abs(psi_derivative(params, xs))))

@@ -427,7 +427,7 @@ def _phi_star_enclosure(iv, k: int, d: int):
     root lies in phi(c) + phi_x(X)(K(X) - c) by the mean-value theorem.
     """
     point = ModelParams(k, float(d))
-    c = solve_fixed_point(point, witness=False, derivative_grid=0).x
+    c = solve_fixed_point(point, check=False).x
     y = 1 / (psi_derivative(point, c) - 1)
     params = ModelParams(k, iv.mpf(d))
     center = iv.mpf(c)

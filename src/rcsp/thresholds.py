@@ -102,18 +102,12 @@ def _dphi_dd(k: int, x, ctx=mpmath):
     return -(1 - ctx.mpf(1) / k) * ctx.log(1 - 2 * x**k) + ctx.log(1 - x ** (k - 1))
 
 
-def phi_star(params: ModelParams, tol: float = 1e-12, *, certify: bool = False) -> float:
+def phi_star(params: ModelParams, tol: float = 1e-12) -> float:
     """phi evaluated at the solved BP fixed point.
 
-    certify=False (the default) runs bare bisection, which dense degree
-    scans rely on; certify=True keeps the uniqueness witness and the
-    derivative grid of solve_fixed_point.
+    Runs bare bisection (check=False), which dense degree scans rely on.
     """
-    if certify:
-        fp = solve_fixed_point(params, tol)
-    else:
-        fp = solve_fixed_point(params, tol, witness=False, derivative_grid=0)
-    return phi(params, fp.x)
+    return phi(params, solve_fixed_point(params, tol, check=False).x)
 
 
 def d_first_moment(k: int) -> float:

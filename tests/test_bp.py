@@ -129,7 +129,7 @@ def test_fixed_point_k3_high_end():
 
 def test_fixed_point_solver_options():
     p = ModelParams(3, 7.0)
-    bare = solve_fixed_point(p, witness=False, derivative_grid=0)
+    bare = solve_fixed_point(p, check=False)
     assert bare.iteration_gap is None
     assert bare.max_derivative is None
     full = solve_fixed_point(p)
@@ -145,7 +145,7 @@ def test_fixed_point_solver_options():
         with pytest.raises(ValueError):
             solve_fixed_point(p, tol=tol)
     # a tol below the float spacing stops at adjacent floats
-    a, b = solve_fixed_point(p, tol=1e-300, witness=False, derivative_grid=0).bracket
+    a, b = solve_fixed_point(p, tol=1e-300, check=False).bracket
     assert math.nextafter(a, 1.0) == b
 
 

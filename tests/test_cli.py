@@ -326,13 +326,18 @@ def test_output_columns(capsys, inst_path, argv, header, keys):
 # Invocations that once hung, printed nan, or ended in a traceback, with the
 # exit code each must now end with.  Each runs in its own process under a
 # timeout, one at a time, so a hang fails the test instead of stalling it.
+# dstar at k = 27 and k = 48 stays a known failure of the float bracket: at
+# the window's ends phi_star is smaller than its own rounding error (ROADMAP
+# item 3), so both must give up with exit 2 and one line.
 CONCENTRATE = ["concentrate", "--k", "3", "--d", "2", "--n", "6", "--samples", "2", "--seed", "5"]
 ENDS_CLEANLY = (
     (["dstar", "--k", "22"], 0),
     (["dstar", "--k", "3", "--tol", "1e-300"], 0),
     (["dstar", "--k", "3", "--tol", "nan"], 1),
     (["dstar", "--k", "1100"], 1),
+    (["dstar", "--k", "27"], 2),
     (["dstar", "--k", "47"], 0),
+    (["dstar", "--k", "48"], 2),
     (["dstar", "--k", "53"], 1),
     (["dstar", "--k", "56"], 1),
     (["fixpoint", "--k", "52", "--d", "8.116309198614963e16"], 0),

@@ -1,5 +1,6 @@
 """Unit tests for the interpolation functional and its supporting laws."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -57,6 +58,8 @@ def test_spec_validation():
         ThetaSpec("nae", -1.0)
     with pytest.raises(ValueError):
         ThetaSpec("nae", 1.0, literals=(0, 2, 0))
+    with pytest.raises(ValueError):
+        ThetaSpec("nae", 1.0, literals=(0, 0.5, 1))  # no truncation to a bit
     with pytest.raises(ValueError):
         ThetaSpec("coloring", 1.0, literals=(0, 1, 0))
     assert ThetaSpec("coloring", 0.0).literals is None
@@ -171,10 +174,95 @@ def test_functional_compressed_matches_reference(d):
     assert fast == pytest.approx(slow, abs=1e-11)
 
 
+# float.hex of values computed by the per-draw loops that _draws replaced
+# (x86-64, numpy 2.4): a refactor of the functional must keep every bit.
+# ASYM has no flip symmetry and a null atom, so its mixed-literal laws differ
+# from clause to clause and the null draws must drop out.
+ASYM = AtomicMeasure(atoms=((0.1, 0.2), (0.6, 0.5), (0.9, 0.3), (0.3, 0.0)))
+MIXED = ((0, 1, 1), [(1, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0), (1, 0, 0)])
+NAE = ThetaSpec("nae", 2.0)
+PINNED = (
+    pytest.param(7.0, None, ThetaSpec("coloring", 2.0), 0.5, None, True,
+                 "0x1.786f6fdaa7cd0p-3", id="uniform"),
+    pytest.param(7.0, None, ThetaSpec("nae", 2.0, (1, 0, 0)), 0.5, None, True,
+                 "0x1.786f6fdaa7cd0p-3", id="uniform-L100"),
+    pytest.param(7.0, None, NAE, 0.5, MIXED, True, "0x1.786f6fdaa7cd0p-3", id="mixed"),
+    pytest.param(7.0, ASYM, NAE, 0.5, MIXED, True, "0x1.2a701b9eb4c00p-5", id="mixed-asym"),
+    pytest.param(6.5, ASYM, NAE, 0.5, MIXED, True, "0x1.5dc4de60f30c0p-4", id="mixed-asym-d6.5"),
+    pytest.param(6.5, ASYM, NAE, 0.5, MIXED, False, "0x1.5dc4de60f30c0p-4",
+                 id="mixed-asym-d6.5-ref"),
+    pytest.param(7.4, None, ThetaSpec("coloring", 4.0), 0.5, None, True,
+                 "0x1.ec555e032dd00p-6", id="d7.4"),
+    pytest.param(7.4, None, ThetaSpec("coloring", 4.0), 0.5, None, False,
+                 "0x1.ec555e032de80p-6", id="d7.4-ref"),
+    pytest.param(7.4, None, ThetaSpec("coloring", 256.0), 0.0625, None, True,
+                 "-0x1.8c67b0b67efc0p-1", id="beta256"),
+)
+
+
+@pytest.mark.parametrize("d, eta, spec, lam, literals, compress, expected", PINNED)
+def test_functional_pinned_bits(d, eta, spec, lam, literals, compress, expected):
+    params = ModelParams(3, d)
+    eta = eta or eta_cluster(params, spec.beta)
+    value = functional_exact(params, eta, spec, lam, literals=literals, compress=compress)
+    assert value.hex() == expected
+
+
+def test_clause_law_pinned_bits():
+    eta = eta_cluster(ModelParams(3, 7.0), 2.0)
+    law = clause_message_law(3, eta, ThetaSpec("nae", 2.0), literals=(1, 0, 0))
+    assert [tuple(x.hex() for x in e) for e in law.entries] == [
+        ("-0x1.2559e17e43458p-12", "-0x1.cb786c1347406p+0", "0x1.aaf9997770f25p-3"),
+        ("-0x1.f84dde0acf110p-7", "-0x1.f84dde0acf110p-7", "0x1.aaf9997770f25p-2"),
+        ("-0x1.ff99d9f4e47b5p-8", "-0x1.1af0372f0290dp-1", "0x1.44ab8e2e286d7p-4"),
+        ("-0x1.cb786c1347406p+0", "-0x1.2559e17e43458p-12", "0x1.aaf9997770f25p-3"),
+        ("-0x1.1af0372f0290dp-1", "-0x1.ff99d9f4e47b5p-8", "0x1.44ab8e2e286d7p-4"),
+        ("-0x1.f2ceaa31546aep-3", "-0x1.f2ceaa31546aep-3", "0x1.edc17e8279295p-8"),
+    ]
+
+
+@st.composite
+def draw_cases(draw):
+    """1-5 distinct atoms in [0, 1] (ends included), some of mass 0, and 1-6 bits."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    atoms = tuple((v, w / sum(weights)) for v, w in zip(values, weights))
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    return AtomicMeasure(atoms=atoms), bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw_cases())
+def test_draws_match_product_loop_bitwise(case):
+    eta, bits = case
+    masses = [m for _, m in eta.atoms]
+    expected = ([], [], [])
+    for draw in itertools.product(range(len(masses)), repeat=len(bits)):
+        prob, lpa, lpb = 1.0, 0.0, 0.0
+        for b, atom in zip(bits, draw):
+            prob *= masses[atom]
+            lpa += eta.log_pairs[atom][b]
+            lpb += eta.log_pairs[atom][1 - b]
+        if prob != 0.0:
+            for column, x in zip(expected, (prob, lpa, lpb)):
+                column.append(x)
+    got = interp._draws(eta, bits)
+    assert [column.tolist() for column in got] == list(expected)
+
+
 def test_functional_atom_budget():
     too_many = AtomicMeasure(atoms=tuple((i / 10.0, 1.0 / 6.0) for i in range(6)))
     with pytest.raises(ValueError):
         functional_exact(ModelParams(3, 7.0), too_many, ThetaSpec("nae", 1.0), 0.5)
+
+
+@pytest.mark.parametrize("d", (0.5, 1.0))
+def test_functional_lattice_key_dimensions(d):
+    # 13 distinct step magnitudes; at d = 0.5 no product step is taken
+    eta = AtomicMeasure(atoms=((0.05, 0.1), (0.3, 0.2), (0.45, 0.4), (0.7, 0.2), (0.9, 0.1)))
+    with pytest.raises(SupportBlowupError, match="13 step directions"):
+        functional_exact(ModelParams(3, d), eta, ThetaSpec("nae", 1.0), 0.5)
 
 
 def test_literal_invariance():
