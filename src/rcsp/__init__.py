@@ -1,152 +1,27 @@
 """Sharp satisfiability-threshold toolkit for random regular NAE-SAT and
 hypergraph 2-coloring: message fixed points, free-energy thresholds, the
 interpolation upper bound, exact first moments, small-instance ensembles,
-and high-precision inequality certificates."""
+and high-precision inequality certificates.
 
-from .bp import (
-    BpFixedPoint,
-    BracketError,
-    DegreeWindow,
-    ModelParams,
-    contraction_certificate,
-    degree_window,
-    psi,
-    psi_derivative,
-    psi_dot,
-    psi_hat,
-    solve_fixed_point,
-)
-from .certificates import CertificateReport, certificate_ids, evaluate, verify_all
-from .ensemble import (
-    ConcentrationStat,
-    GibbsSummary,
-    InstanceFormatError,
-    NaeInstance,
-    RetryExhaustedError,
-    SweepPoint,
-    clause_resample_sensitivity,
-    concentration_experiment,
-    count_solutions,
-    count_solutions_dfs,
-    is_simple,
-    partition_function,
-    read_instance,
-    sample_instance,
-    sat_sweep,
-    violation_histogram,
-    write_instance,
-)
-from .firstmoment import (
-    FirstMomentReport,
-    TiltedClauseLaw,
-    exhaustive_ez_col,
-    exhaustive_ez_nae,
-    ez_col,
-    ez_col_window_split,
-    ez_nae,
-    f_alpha,
-    g_alpha,
-    lagrange_lambda,
-    p_gamma,
-    ratio_scan,
-    tilted_clause_law,
-    xi,
-)
-from .interp import (
-    AtomicMeasure,
-    BetaScanResult,
-    BetaScanRow,
-    ClauseMessageLaw,
-    LiteralInvarianceResult,
-    SupportBlowupError,
-    ThetaSpec,
-    beta_scaling_scan,
-    clause_message_law,
-    eta_cluster,
-    functional_exact,
-    functional_monte_carlo,
-    literal_invariance_check,
-    theta_value,
-)
-from .thresholds import (
-    ThresholdReport,
-    asymptotic_gap,
-    d_first_moment,
-    d_star,
-    phi,
-    phi_star,
-    table_rows,
-)
+Each module's __all__ is the one declaration of its public names; the
+package re-exports all of them."""
+
+from . import bp, certificates, ensemble, firstmoment, interp, thresholds
+from .bp import *
+from .certificates import *
+from .ensemble import *
+from .firstmoment import *
+from .interp import *
+from .thresholds import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AtomicMeasure",
-    "BetaScanResult",
-    "BetaScanRow",
-    "BpFixedPoint",
-    "BracketError",
-    "CertificateReport",
-    "ClauseMessageLaw",
-    "ConcentrationStat",
-    "DegreeWindow",
-    "FirstMomentReport",
-    "GibbsSummary",
-    "InstanceFormatError",
-    "LiteralInvarianceResult",
-    "ModelParams",
-    "NaeInstance",
-    "RetryExhaustedError",
-    "SupportBlowupError",
-    "SweepPoint",
-    "ThetaSpec",
-    "ThresholdReport",
-    "TiltedClauseLaw",
-    "asymptotic_gap",
-    "beta_scaling_scan",
-    "certificate_ids",
-    "clause_message_law",
-    "clause_resample_sensitivity",
-    "concentration_experiment",
-    "contraction_certificate",
-    "count_solutions",
-    "count_solutions_dfs",
-    "d_first_moment",
-    "d_star",
-    "degree_window",
-    "eta_cluster",
-    "evaluate",
-    "exhaustive_ez_col",
-    "exhaustive_ez_nae",
-    "ez_col",
-    "ez_col_window_split",
-    "ez_nae",
-    "f_alpha",
-    "functional_exact",
-    "functional_monte_carlo",
-    "g_alpha",
-    "is_simple",
-    "lagrange_lambda",
-    "literal_invariance_check",
-    "p_gamma",
-    "partition_function",
-    "phi",
-    "phi_star",
-    "psi",
-    "psi_derivative",
-    "psi_dot",
-    "psi_hat",
-    "ratio_scan",
-    "read_instance",
-    "sample_instance",
-    "sat_sweep",
-    "solve_fixed_point",
-    "table_rows",
-    "theta_value",
-    "tilted_clause_law",
-    "verify_all",
-    "violation_histogram",
-    "write_instance",
-    "xi",
+    *bp.__all__,
+    *certificates.__all__,
+    *ensemble.__all__,
+    *firstmoment.__all__,
+    *interp.__all__,
+    *thresholds.__all__,
 ]

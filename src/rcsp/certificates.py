@@ -463,7 +463,7 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
     window = degree_window(k)
     if int(ceil) != ceil:
         raise ValueError(f"ceil must be an integer, got {ceil!r}")
-    if not (window.d_lbd <= ceil - 1 and ceil <= window.d_ubd):
+    if not (ceil - 1 in window and ceil in window):
         return ThresholdCertificate(
             k,
             ceil,

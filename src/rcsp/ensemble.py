@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class NaeInstance:
 
     clauses[a] lists clause a's variable indices in slot order (repeats
     mean multi-edges); literals[a] the matching flip bits, all zero under
-    the coloring model.  simple records the no-repeated-variable-within-
-    a-clause property of the clause list itself.
+    the coloring model.  simple, derived from the clauses, says that no
+    clause repeats a variable.
     """
 
     n: int
@@ -81,7 +81,6 @@ class NaeInstance:
     d: int
     clauses: tuple[tuple[int, ...], ...]
     literals: tuple[tuple[int, ...], ...]
-    simple: bool
     model: str = "nae"
 
     def __post_init__(self) -> None:
@@ -109,8 +108,10 @@ class NaeInstance:
                 raise ValueError(f"variable {v} has degree {deg}, expected {self.d}")
         if self.model == "coloring" and any(any(li) for li in self.literals):
             raise ValueError("coloring instances must have all-zero literals")
-        if self.simple != is_simple(self.clauses):
-            raise ValueError("simple flag contradicts the clause list")
+
+    @property
+    def simple(self) -> bool:
+        return is_simple(self.clauses)
 
 
 @dataclass(frozen=True)
@@ -200,16 +201,13 @@ def sample_instance(
         lits = rng.integers(0, 2, size=(m, k))
     else:
         lits = np.zeros((m, k), dtype=np.int64)
-    clause_rows = tuple(tuple(int(v) for v in row) for row in clauses)
-    lit_rows = tuple(tuple(int(b) for b in row) for row in lits)
     return NaeInstance(
         n=n,
         m=m,
         k=k,
         d=d,
-        clauses=clause_rows,
-        literals=lit_rows,
-        simple=is_simple(clause_rows),
+        clauses=tuple(tuple(int(v) for v in row) for row in clauses),
+        literals=tuple(tuple(int(b) for b in row) for row in lits),
         model=model,
     )
 
@@ -368,17 +366,7 @@ def _swap_slots(inst: NaeInstance, s1: int, s2: int) -> NaeInstance:
     a1, j1 = divmod(s1, k)
     a2, j2 = divmod(s2, k)
     rows[a1][j1], rows[a2][j2] = rows[a2][j2], rows[a1][j1]
-    clause_rows = tuple(tuple(r) for r in rows)
-    return NaeInstance(
-        n=inst.n,
-        m=inst.m,
-        k=inst.k,
-        d=inst.d,
-        clauses=clause_rows,
-        literals=inst.literals,
-        simple=is_simple(clause_rows),
-        model=inst.model,
-    )
+    return replace(inst, clauses=tuple(tuple(r) for r in rows))
 
 
 def clause_resample_sensitivity(
@@ -545,9 +533,8 @@ def read_instance(path) -> NaeInstance:
             row_l.append(lit)
         clauses.append(tuple(row_v))
         literals.append(tuple(row_l))
-    clause_rows = tuple(clauses)
     degree = [0] * n
-    for cl in clause_rows:
+    for cl in clauses:
         for v in cl:
             degree[v] += 1
     for v, deg in enumerate(degree):
@@ -561,9 +548,8 @@ def read_instance(path) -> NaeInstance:
             m=m,
             k=k,
             d=d,
-            clauses=clause_rows,
+            clauses=tuple(clauses),
             literals=tuple(literals),
-            simple=is_simple(clause_rows),
             model=model,
         )
     except ValueError as exc:

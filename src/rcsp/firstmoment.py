@@ -218,31 +218,32 @@ def ez_col_window_split(n: int, k: int, d: int) -> tuple[Fraction, Fraction]:
     return inside, outside
 
 
-def _log_clause_weights(k: int, gamma: float, lam: float) -> list[float]:
-    return [
+def _clause_weights(k: int, gamma: float, lam: float) -> tuple[float, list[float]]:
+    """Tilted interior-binomial weights C(k,j) gamma^j (1-gamma)^(k-j) e^(lam j),
+    j = 1..k-1, as (shift, w): w[j-1] is the weight times e^-shift, and shift
+    is the largest log weight, so the largest w is 1."""
+    logw = [
         math.log(math.comb(k, j))
         + j * math.log(gamma)
         + (k - j) * math.log1p(-gamma)
         + lam * j
         for j in range(1, k)
     ]
+    shift = max(logw)
+    return shift, [math.exp(lw - shift) for lw in logw]
 
 
 def tilted_clause_law(k: int, gamma: float, lam: float) -> TiltedClauseLaw:
     """Normalize the tilted interior-binomial weights into a law."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    logw = _log_clause_weights(k, gamma, lam)
-    shift = max(logw)
-    w = [math.exp(lw - shift) for lw in logw]
+    _, w = _clause_weights(k, gamma, lam)
     total = math.fsum(w)
     return TiltedClauseLaw(gamma=gamma, lam=lam, pmf=tuple(x / total for x in w))
 
 
 def _tilted_mean(k: int, gamma: float, lam: float) -> float:
-    logw = _log_clause_weights(k, gamma, lam)
-    shift = max(logw)
-    w = [math.exp(lw - shift) for lw in logw]
+    _, w = _clause_weights(k, gamma, lam)
     return math.fsum(j * x for j, x in zip(range(1, k), w)) / math.fsum(w)
 
 
@@ -282,11 +283,8 @@ def xi(gamma: float, lam: float, k: int) -> float:
     """Tilted log partition gap k*gamma*lam - ln sum_j p_gamma(j) e^{lam j}."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    logw = _log_clause_weights(k, gamma, lam)
-    shift = max(logw)
-    return k * gamma * lam - (
-        shift + math.log(math.fsum(math.exp(lw - shift) for lw in logw))
-    )
+    shift, w = _clause_weights(k, gamma, lam)
+    return k * gamma * lam - (shift + math.log(math.fsum(w)))
 
 
 def _binary_entropy(gamma: float) -> float:

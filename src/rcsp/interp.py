@@ -72,6 +72,8 @@ __all__ = [
 MAX_PRODUCT_STATES = 10_000_000
 MAX_REFERENCE_TUPLES = 2_000_000
 MAX_ATOMS = 5
+# Samples per Monte Carlo batch; a different value changes the RNG stream.
+MC_CHUNK = 100_000
 
 _KEY_BITS = 7
 _KEY_OFF = 63
@@ -544,7 +546,6 @@ def functional_monte_carlo(
     lam: float,
     n_samples: int,
     seed: int,
-    chunk: int = 100_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the functional; returns (estimate, stderr).
 
@@ -577,7 +578,7 @@ def functional_monte_carlo(
     sum0 = sum0_sq = 0.0
     done = 0
     while done < n_samples:
-        n = min(chunk, n_samples - done)
+        n = min(MC_CHUNK, n_samples - done)
         draws = rng.choice(len(masses), size=(n, d, k - 1), p=masses)
         b0 = np.broadcast_to(bits0[None, :, :], (n, d, k - 1))
         lp0 = np.take_along_axis(lpair[draws], b0[..., None], axis=3)[..., 0].sum(axis=2)

@@ -31,7 +31,6 @@ __all__ = [
     "d_first_moment",
     "asymptotic_gap",
     "table_rows",
-    "degree_window",
 ]
 
 SCAN_STEPS = 1000
@@ -136,10 +135,19 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
 
     ds = [hi - i * step for i in range(SCAN_STEPS + 1)]
     vals = [f(d) for d in ds]
+    def no_bracket(end: str, d: float, val: float, want: str) -> BracketError:
+        # For k = 27-29 and 48-52 phi_star at a window end is smaller than its
+        # float error (k = 28 lower end: float -2.4e-7, 40-digit solve +5.9e-9).
+        return BracketError(
+            f"the float scan cannot bracket d_star at k={k}: phi_star({d}) = {val:.3e} "
+            f"at the window's {end} end, expected {want}, and phi_star's float error "
+            f"there can exceed its size"
+        )
+
     if not vals[0] < 0:
-        raise BracketError(f"phi_star({hi}) = {vals[0]:.3e}; expected < 0 for k={k}")
+        raise no_bracket("upper", hi, vals[0], "< 0")
     if not vals[-1] > 0:
-        raise BracketError(f"phi_star({lo}) = {vals[-1]:.3e}; expected > 0 for k={k}")
+        raise no_bracket("lower", lo, vals[-1], "> 0")
 
     sign_changes = []
     for i in range(SCAN_STEPS):

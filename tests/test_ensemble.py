@@ -35,7 +35,7 @@ def tiny_instance(literals=((0, 0),), model="coloring"):
     # one clause over two degree-1 variables
     return NaeInstance(
         n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=literals,
-        simple=True, model=model,
+        model=model,
     )
 
 
@@ -49,25 +49,22 @@ def test_instance_validation():
     assert good.n == 2
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=1, k=2, d=2, clauses=((0, 1),), literals=((0, 0),),
-                    simple=True, model="nae")
+                    model="nae")
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=2, k=2, d=1, clauses=((0, 1),), literals=((0, 0),),
-                    simple=True, model="nae")
+                    model="nae")
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 5),), literals=((0, 0),),
-                    simple=True, model="nae")
+                    model="nae")
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 0),), literals=((0, 0),),
-                    simple=True, model="nae")  # degree and simple both wrong
+                    model="nae")  # repeated variable, wrong degree
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=((0, 2),),
-                    simple=True, model="nae")
+                    model="nae")
     with pytest.raises(ValueError):
         NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=((0, 1),),
-                    simple=True, model="coloring")
-    with pytest.raises(ValueError):
-        NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=((0, 0),),
-                    simple=False, model="nae")  # flag contradicts the list
+                    model="coloring")
     with pytest.raises(ValueError):
         tiny_instance(model="xor")
 
@@ -170,7 +167,7 @@ def test_blocks_clashing_bits_and_uint16(monkeypatch):
     # literals and is always violated
     clash = NaeInstance(
         n=2, m=2, k=2, d=2, clauses=((0, 0), (1, 1)), literals=((0, 1), (0, 0)),
-        simple=False, model="nae",
+        model="nae",
     )
     assert violation_histogram(clash) == brute_histogram(clash) == [0, 4, 0]
     # m = 264 takes the uint16 path; the all-zero coloring violates all 264
@@ -257,6 +254,18 @@ def test_swap_slots_involution():
     assert swapped.literals == inst.literals
 
 
+def test_simple_is_derived(tmp_path):
+    inst = sample_instance(9, 3, 3, seed=5, require_simple=True)
+    # move another copy of clause 0's slot-1 variable into its slot 0
+    v = inst.clauses[0][1]
+    s = next(3 * a + j for a, cl in enumerate(inst.clauses[1:], 1) for j, u in enumerate(cl) if u == v)
+    swapped = en._swap_slots(inst, 0, s)
+    path = tmp_path / "swapped.txt"
+    write_instance(swapped, path)
+    for x, simple in ((inst, True), (swapped, False), (read_instance(path), False)):
+        assert x.simple == is_simple(x.clauses) == simple
+
+
 def test_resample_sensitivity_bound():
     inst = sample_instance(12, 3, 3, seed=21)
     for beta in (0.5, 2.0):
@@ -308,7 +317,7 @@ def test_matching_average_equals_expected_count():
         )
         inst = NaeInstance(
             n=n, m=nd // k, k=k, d=d, clauses=clauses,
-            literals=((0,) * k,) * (nd // k), simple=is_simple(clauses),
+            literals=((0,) * k,) * (nd // k),
             model="coloring",
         )
         total += count_solutions(inst)

@@ -208,3 +208,15 @@ def test_f_alpha_domain():
         f_alpha(0.0, ModelParams(3, 7.0))
     with pytest.raises(ValueError):
         xi(1.0, 0.0, 3)
+
+
+def test_tilted_values_pinned_bits():
+    # float.hex values captured before the tilted weights shared one helper
+    law = tilted_clause_law(5, 0.45, 0.3)
+    assert [x.hex() for x in law.pmf] == [
+        "0x1.24c2138db0a97p-3", "0x1.4354b0adbed94p-2",
+        "0x1.6518a2fd4158ep-2", "0x1.8a63451c4ef28p-3",
+    ]
+    assert lagrange_lambda(0.42, 4).hex() == "-0x1.09ca177622000p-2"
+    assert xi(0.55, 0.7, 3).hex() == "0x1.3d0a3bf629c50p-2"
+    assert g_alpha(0.45, ModelParams(3, 6.9)).hex() == "-0x1.6921bb3c8ac40p-5"

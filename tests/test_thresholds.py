@@ -74,6 +74,15 @@ def test_d_star_stops_at_float_resolution():
         assert math.nextafter(lo, math.inf) == hi
 
 
+def test_d_star_unbracketable_k():
+    # at k = 28 and 48 phi_star at a window end is smaller than its float
+    # error, so the scan's end sign is wrong; the message says so
+    for k in (28, 48):
+        with pytest.raises(BracketError, match=f"float scan cannot bracket d_star at k={k}:"
+                           ".*phi_star's float error there can exceed its size"):
+            d_star(k)
+
+
 def test_d_first_moment_values():
     assert d_first_moment(3) == pytest.approx(3 * math.log(2) / -math.log(0.75), rel=1e-15)
     assert d_first_moment(3) == pytest.approx(7.2282625189596272, rel=1e-15)
