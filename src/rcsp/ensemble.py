@@ -4,10 +4,11 @@ Instances are drawn from the configuration model: n variables each with d
 half-edges, m = nd/k clauses each with k slots, matched by a seeded uniform
 shuffle.  Solution counts and partition functions are exact: a clause is
 violated exactly when its literal-adjusted values are all equal, which pins
-its variables to one of two complementary bit patterns.  The per-assignment
-violation counts are built in cache-sized blocks by contiguous adds of
-precomputed pattern sums; their zeros give the solution count and their
-histogram gives Z(beta) at any temperature.
+its variables to one of two complementary bit patterns.  A global flip keeps
+every clause's status, so only the assignments with x_0 = 0 are walked, in
+cache-sized blocks in Gray order, by contiguous adds and subtractions of
+precomputed pattern sums; doubled, their zeros give the solution count and
+their histogram gives Z(beta) at any temperature.
 
 Seeding contract: every multi-trial operation derives the trial's generator
 from SeedSequence(master_seed, spawn_key=(...counters...)), so any single
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,19 +243,22 @@ def _clause_pin_patterns(inst: NaeInstance):
 
 
 def _blocks(inst: NaeInstance):
-    """Yield the per-assignment violation counts, 2^CHUNK_VARS at a time.
+    """Yield the violation counts of the assignments with x_0 = 0, in blocks.
 
-    An outer counter fixes the leading variables; the rest index a block.
-    Patterns are grouped by what they require of the leading variables, and
-    each group's indicators over the block variables are summed once (the
-    group requiring nothing is the base).  A block is the base plus every
-    group the counter meets: contiguous adds only.  A clause's two patterns
-    are exclusive, so a count never exceeds m.
+    A global flip keeps every clause's status and maps the x_0 = 1 half one
+    to one onto this half, so callers double their totals.  An outer counter
+    runs in Gray order over the leading variables, x_0 pinned to 0; the rest
+    (at most CHUNK_VARS) index a block.  Patterns are grouped by what they
+    require of the leading variables, dropping those that need x_0 = 1, and
+    each group's indicators over the block variables are summed once.  Per
+    step one buffer loses the groups that stop matching, then gains those
+    that start, so a count stays in 0..m (a clause's two patterns exclude
+    each other).  The same buffer is yielded: consume it before the next.
     """
-    inner = min(inst.n, CHUNK_VARS)
+    inner = min(inst.n - 1, CHUNK_VARS)
     fixed = inst.n - inner
     dtype = np.min_scalar_type(inst.m)  # the narrowest unsigned type holding m
-    groups = {(0, 0): np.zeros((2,) * inner, dtype)}
+    groups = defaultdict(lambda: np.zeros((2,) * inner, dtype))
     for sides in _clause_pin_patterns(inst):
         for vars_, bits in sides:
             mask = want = 0
@@ -264,32 +269,36 @@ def _blocks(inst: NaeInstance):
                     want |= b << v
                 else:
                     idx[v - fixed] = b
-            if (mask, want) not in groups:
-                groups[mask, want] = np.zeros((2,) * inner, dtype)
-            groups[mask, want][tuple(idx)] += 1
-    base = groups.pop((0, 0)).ravel()
+            if not want & 1:  # a pattern needing x_0 = 1 never fires
+                groups[mask, want][tuple(idx)] += 1
     masks, wants = np.array(list(groups), dtype=np.int64).reshape(-1, 2).T
     arrays = [a.ravel() for a in groups.values()]
-    for outer in range(1 << fixed):
-        block = base.copy()
-        for g in np.flatnonzero((outer & masks) == wants):
+    block = np.zeros(1 << inner, dtype)
+    met = np.zeros(len(arrays), dtype=bool)
+    for step in range(1 << (fixed - 1)):
+        outer = (step ^ (step >> 1)) << 1  # Gray code, x_0 = 0
+        now = (outer & masks) == wants
+        for g in np.flatnonzero(met & ~now):
+            block -= arrays[g]
+        for g in np.flatnonzero(now & ~met):
             block += arrays[g]
+        met = now
         yield block
 
 
 def count_solutions(inst: NaeInstance) -> int:
-    """Exact number of satisfying assignments: the zero entries of all the
+    """Exact number of satisfying assignments: twice the zero entries of the
     blocks, or the depth-first counter above TENSOR_VARS_LIMIT variables."""
     if inst.n > COUNT_VARS_LIMIT:
         raise ValueError(f"count capped at n <= {COUNT_VARS_LIMIT}, got {inst.n}")
     if inst.n > TENSOR_VARS_LIMIT:
         return count_solutions_dfs(inst)
-    return sum(block.size - int(np.count_nonzero(block)) for block in _blocks(inst))
+    return 2 * sum(block.size - int(np.count_nonzero(block)) for block in _blocks(inst))
 
 
 def count_solutions_dfs(inst: NaeInstance) -> int:
-    """Reference counter: depth-first over variables, pruning any branch
-    in which some fully-assigned clause came out monochromatic."""
+    """Reference counter: depth-first over both values of every variable (no
+    flip symmetry), pruning a branch once a full clause is monochromatic."""
     n, k = inst.n, inst.k
     slots_of_var: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, (cl, li) in enumerate(zip(inst.clauses, inst.literals)):
@@ -327,14 +336,14 @@ def count_solutions_dfs(inst: NaeInstance) -> int:
 
 
 def violation_histogram(inst: NaeInstance) -> list[int]:
-    """hist[j] = number of assignments violating exactly j clauses.  Each
-    block is bincounted into one accumulator; no array grows with 2^n."""
+    """hist[j] = number of assignments violating exactly j clauses.  The
+    blocks are bincounted into one doubled accumulator; none grows with 2^n."""
     if inst.n > TENSOR_VARS_LIMIT:
         raise ValueError(f"histogram capped at n <= {TENSOR_VARS_LIMIT}, got {inst.n}")
     hist = np.zeros(inst.m + 1, dtype=np.int64)
     for block in _blocks(inst):
         hist += np.bincount(block, minlength=inst.m + 1)
-    return [int(c) for c in hist]
+    return [2 * int(c) for c in hist]
 
 
 def partition_function(inst: NaeInstance, beta: float) -> GibbsSummary:

@@ -148,9 +148,13 @@ def brute_histogram(inst):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(model="nae", k=2, n=3, d=2, chunk=1, seed=0)
+@example(model="nae", k=2, n=1, d=2, chunk=1, seed=0)  # no block variable
+@example(model="coloring", k=2, n=2, d=2, chunk=1, seed=0)  # x_0 alone leads
 def test_blocks_match_brute_force(model, k, n, d, chunk, seed):
-    # chunk sizes from 1 to n put every pattern in the base, in an outer-only
-    # group or in a mixed group; small n makes repeated variables common
+    # chunk sizes from 1 to n put patterns in the base, in outer-only groups
+    # and in mixed groups, and set the Gray walk's length; x_0 always leads,
+    # so no chunk puts every pattern in the base.  Small n makes repeated
+    # variables common
     assume((n * d) % k == 0)
     inst = sample_instance(n, k, d, seed, model=model)
     with pytest.MonkeyPatch.context() as mp:
@@ -159,6 +163,38 @@ def test_blocks_match_brute_force(model, k, n, d, chunk, seed):
         count = count_solutions(inst)
     assert hist == brute_histogram(inst)
     assert count == count_solutions_dfs(inst) == hist[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    model=st.sampled_from(("nae", "coloring")),
+    k=st.sampled_from((2, 3)),
+    n=st.integers(1, 10),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_histogram_flip_symmetric(model, k, n, d, seed):
+    # the premise of the halved walk, on the definition alone: flipping every
+    # variable pairs the assignments and keeps each clause's status
+    assume((n * d) % k == 0)
+    inst = sample_instance(n, k, d, seed, model=model)
+    assert all(c % 2 == 0 for c in brute_histogram(inst))
+
+
+@pytest.mark.parametrize("n", (1, 12, 17, 24))
+def test_blocks_walk_half(n):
+    # only x_0 = 0 is enumerated: a walk over both halves fails here if it
+    # does not double, and fails the totals checks if it does
+    inst = sample_instance(n, 2, 2, seed=n)
+    assert sum(block.size for block in en._blocks(inst)) == 2 ** (n - 1)
+
+
+def test_count_gray_walk_matches_dfs():
+    # default CHUNK_VARS at n = 20 leaves four leading variables: x_0 pinned
+    # and three flipped by the Gray walk; the literals are random
+    inst = sample_instance(20, 4, 4, seed=7)
+    assert any(any(li) for li in inst.literals)
+    assert count_solutions(inst) == count_solutions_dfs(inst)
 
 
 def test_blocks_clashing_bits_and_uint16(monkeypatch):
