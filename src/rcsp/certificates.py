@@ -12,8 +12,9 @@ several elementary comparisons (a chained inequality, a cover of an interval
 by boxes, a monotone sequence); the reported computed/bound/margin always
 belong to the tightest comparison, and the notes field records the rest.
 
-certify_ceil_d_star proves a threshold ceiling by the same rule, on a
-Krawczyk enclosure of the fixed point.
+certify_ceil_d_star proves a threshold ceiling by the same rule, on
+Krawczyk enclosures of the fixed point; _slope_enclosure, one of its claims,
+proves phi_star strictly decreasing along the fixed-point curve.
 """
 
 from __future__ import annotations
@@ -418,28 +419,85 @@ def _enclosure(claim: str, value, above=None, below=None) -> Enclosure:
     return Enclosure(claim, float(value.a), float(value.b), _status(value, above, below))
 
 
-def _phi_star_enclosure(iv, k: int, d: int):
-    """Enclosure of phi_star(k, d), or None when the Krawczyk step does not close.
+def _krawczyk(iv, params: ModelParams, c: float, y: float, radius: float):
+    """(X, K(X)) for f(x) = psi(x) - x on X = c +- radius, or None unless
+    K(X) lies in X and X in [1/2 - 2^-k, 1/2].
 
-    The float solve supplies only the centre c and the preconditioner
-    y = 1/(psi'(c) - 1).  K(X) = c - y f(c) + (1 - y f'(X))(X - c) for
-    f(x) = psi(x) - x; K(X) inside X proves a root in K(X), and phi at that
-    root lies in phi(c) + phi_x(X)(K(X) - c) by the mean-value theorem.
+    K(X) = c - y f(c) + (1 - y f'(X))(X - c), with params.d a point or an
+    interval; K(X) in X proves a root in K(X) at every degree in params.d.
+    The float centre c and preconditioner y only steer the step.
     """
-    point = ModelParams(k, float(d))
-    c = solve_fixed_point(point, check=False).x
-    y = 1 / (psi_derivative(point, c) - 1)
-    params = ModelParams(k, iv.mpf(d))
     center = iv.mpf(c)
-    box = center + iv.mpf([-KRAWCZYK_RADIUS, KRAWCZYK_RADIUS])
+    box = center + iv.mpf([-radius, radius])
     krawczyk = (
         center
         - y * (psi(params, center) - center)
         + (1 - y * (psi_derivative(params, box) - 1)) * (box - center)
     )
-    if not (krawczyk in box and box in iv.mpf(_domain(k))):
+    if not (krawczyk in box and box in iv.mpf(_domain(params.k))):
         return None
-    return phi(params, center, iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - center)
+    return box, krawczyk
+
+
+def _float_center(k: int, d: float) -> tuple[float, float]:
+    """The float fixed point c at degree d and y = 1/(psi'(c) - 1)."""
+    point = ModelParams(k, d)
+    c = solve_fixed_point(point, check=False).x
+    return c, 1 / (psi_derivative(point, c) - 1)
+
+
+def _phi_star_enclosure(iv, k: int, d: int):
+    """Enclosure of phi_star(k, d), or None when the Krawczyk step does not close.
+
+    The step runs on the box of half-width KRAWCZYK_RADIUS around the float
+    fixed point, and phi at the root lies in phi(c) + phi_x(X)(K(X) - c) by
+    the mean-value theorem.
+    """
+    c, y = _float_center(k, float(d))
+    params = ModelParams(k, iv.mpf(d))
+    step = _krawczyk(iv, params, c, y, KRAWCZYK_RADIUS)
+    if step is None:
+        return None
+    box, krawczyk = step
+    return phi(params, iv.mpf(c), iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - c)
+
+
+def _slope_enclosure(iv, k: int, lo: float, hi: float):
+    """(enclosure, boxes): a negative enclosure of dphi_star/dd over the
+    degrees [lo, hi] from that many degree boxes, or None after 512 boxes.
+
+    Each box D gets a Krawczyk step around the float fixed point c at its
+    midpoint, with radius 1.5 |y (psi(D, c) - c)| (how far the curve moves
+    across D, with slack for rounding), doubled up to twice.  K(X) then
+    holds x(d) for every d in D, and dphi_star/dd = phi_d + phi_x psi_d /
+    (1 - psi') is bounded on D x K(X).  A box whose step does not close or
+    whose bound is not below zero is halved.
+    """
+    pending, proven, boxes = [(lo, hi)], [], 0
+    while pending:
+        boxes += 1
+        if boxes > 512:
+            return None, boxes - 1
+        a, b = pending.pop()
+        mid = 0.5 * (a + b)
+        c, y = _float_center(k, mid)
+        params = ModelParams(k, iv.mpf([a, b]))
+        radius = 1.5 * float(abs(y * (psi(params, iv.mpf(c)) - c)).b)
+        for _ in range(3):
+            step = _krawczyk(iv, params, c, y, radius)
+            if step is not None:
+                break
+            radius *= 2
+        if step is not None:
+            x = step[1]
+            slope = _dphi_dd(k, x, iv) + _dphi_dx(k, params.d, x, iv) * _dpsi_dd(
+                k, params.d, x, iv
+            ) / (1 - psi_derivative(params, x))
+            if slope < 0:
+                proven.append(slope)
+                continue
+        pending += [(mid, b), (a, mid)]
+    return iv.mpf([min(s.a for s in proven), max(s.b for s in proven)]), boxes
 
 
 def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
@@ -454,8 +512,10 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
         exists, is unique, and is differentiable in d there;
     (ii) phi_star(ceil - 1) > 0 and (iii) phi_star(ceil) < 0, each on a
         Krawczyk enclosure of the fixed point;
-    (iv) dphi_star/dd = phi_d + phi_x psi_d / (1 - psi') < 0 on
-        [ceil, d_ubd] x X, so phi_star has no zero in [ceil, d_ubd].
+    (iv) dphi_star/dd = phi_d + phi_x psi_d / (1 - psi') < 0 along the
+        fixed-point curve over [ceil, d_ubd] (_slope_enclosure: degree boxes,
+        each with a Krawczyk enclosure of the curve), so phi_star has no
+        zero in [ceil, d_ubd].
 
     Together they put the largest zero in (ceil - 1, ceil).  Kept outside
     the registry because its claims depend on k and ceil.
@@ -478,7 +538,6 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
     lo, hi = _domain(k)
     xs = iv.mpf([lo, hi])
     box = ModelParams(k, iv.mpf([ceil - 1, window.d_ubd]))
-    tail = ModelParams(k, iv.mpf([ceil, window.d_ubd]))
     on_box = f"on [{ceil - 1}, d_ubd] x [1/2 - 2^-{k}, 1/2]"
     enclosures = [
         _enclosure(
@@ -502,12 +561,12 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
             enclosures.append(_enclosure(claim, value, above=0))
         else:
             enclosures.append(_enclosure(claim, value, below=0))
-    slope = _dphi_dd(k, xs, iv) + _dphi_dx(k, tail.d, xs, iv) * _dpsi_dd(
-        k, tail.d, xs, iv
-    ) / (1 - psi_derivative(tail, xs))
-    enclosures.append(
-        _enclosure(f"dphi_star/dd < 0 on [{ceil}, d_ubd] x [1/2 - 2^-{k}, 1/2]", slope, below=0)
-    )
+    slope, boxes = _slope_enclosure(iv, k, ceil, window.d_ubd)
+    claim = f"dphi_star/dd < 0 along the fixed-point curve over [{ceil}, d_ubd], {boxes} box(es)"
+    if slope is None:
+        enclosures.append(Enclosure(claim, -math.inf, math.inf, "open"))
+    else:
+        enclosures.append(_enclosure(claim, slope, below=0))
 
     passed, inconclusive = _verdict([e.status for e in enclosures])
     if passed:

@@ -288,11 +288,9 @@ def _blocks(inst: NaeInstance):
 
 def count_solutions(inst: NaeInstance) -> int:
     """Exact number of satisfying assignments: twice the zero entries of the
-    blocks, or the depth-first counter above TENSOR_VARS_LIMIT variables."""
+    blocks."""
     if inst.n > COUNT_VARS_LIMIT:
         raise ValueError(f"count capped at n <= {COUNT_VARS_LIMIT}, got {inst.n}")
-    if inst.n > TENSOR_VARS_LIMIT:
-        return count_solutions_dfs(inst)
     return 2 * sum(block.size - int(np.count_nonzero(block)) for block in _blocks(inst))
 
 

@@ -9,6 +9,7 @@ the first-moment degree where the expected solution count crosses 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,10 +42,8 @@ class ThresholdReport:
     """d_star solve for one clause size.
 
     bracket is the final bisection interval (phi_star > 0 at the low end,
-    < 0 at the high end).  sign_changes lists every grid interval of the
-    downward scan where phi_star changed sign, as (d_low, d_high) pairs;
-    a single entry is the expected situation and anything more is left
-    visible as a diagnostic.
+    < 0 at the high end).  sign_changes holds the one grid cell (d_low,
+    d_high) where phi_star changes sign; d_star says why there is one.
     """
 
     k: int
@@ -117,12 +116,13 @@ def d_first_moment(k: int) -> float:
 
 
 def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
-    """Largest zero of phi_star inside the degree window for clause size k.
+    """Zero of phi_star inside the degree window for clause size k.
 
-    Scans SCAN_STEPS degrees downward from the window's upper end, records
-    every sign change of phi_star, brackets the first one encountered
-    (negative above, positive below), and bisects it to tol or to adjacent
-    floats, whichever comes first.
+    phi_star is strictly decreasing on the window (the curve-box slope proof
+    certificates._slope_enclosure; test_slope_proof_closes_on_every_window
+    runs it for k = 3..47).  After the window-end signs, a binary search over
+    the SCAN_STEPS-cell degree grid finds its one sign change, and that cell
+    is bisected to tol or to adjacent floats, whichever comes first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -133,8 +133,6 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
     def f(d: float) -> float:
         return phi_star(ModelParams(k, d))
 
-    ds = [hi - i * step for i in range(SCAN_STEPS + 1)]
-    vals = [f(d) for d in ds]
     def no_bracket(end: str, d: float, val: float, want: str) -> BracketError:
         # For k = 27-29 and 48-52 phi_star at a window end is smaller than its
         # float error (k = 28 lower end: float -2.4e-7, 40-digit solve +5.9e-9).
@@ -144,17 +142,16 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
             f"there can exceed its size"
         )
 
-    if not vals[0] < 0:
-        raise no_bracket("upper", hi, vals[0], "< 0")
-    if not vals[-1] > 0:
-        raise no_bracket("lower", lo, vals[-1], "> 0")
+    if not (val := f(hi)) < 0:
+        raise no_bracket("upper", hi, val, "< 0")
+    if not (val := f(hi - SCAN_STEPS * step)) > 0:
+        raise no_bracket("lower", lo, val, "> 0")
 
-    sign_changes = []
-    for i in range(SCAN_STEPS):
-        if vals[i] < 0 <= vals[i + 1] or vals[i] >= 0 > vals[i + 1]:
-            sign_changes.append((ds[i + 1], ds[i]))
+    # first grid degree hi - i * step, counting down, where phi_star >= 0
+    i = bisect_left(range(SCAN_STEPS), True, 1, key=lambda j: f(hi - j * step) >= 0)
+    cell = (hi - i * step, hi - (i - 1) * step)
 
-    d_pos, d_neg = _bisect(lambda mid: f(mid) > 0, *sign_changes[0], tol)
+    d_pos, d_neg = _bisect(lambda mid: f(mid) > 0, *cell, tol)
     root = 0.5 * (d_pos + d_neg)
 
     d1 = d_first_moment(k)
@@ -167,12 +164,13 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
         ceil_d_star=math.ceil(root),
         ceil_d1=math.ceil(d1),
         bracket=(d_pos, d_neg),
-        sign_changes=tuple(sign_changes),
+        sign_changes=(cell,),
     )
 
 
 def asymptotic_gap(k: int, tol: float = 1e-9) -> float:
-    """d_star(k)/k minus the large-k prediction (2^(k-1) - 1/2 - 1/(4 ln2)) ln2."""
+    """d_star(k)/k minus the large-k prediction (2^(k-1) - 1/2 - 1/(4 ln2)) ln2,
+    which shrinks with k; from k of about 20 on, float error in d_star dominates it."""
     pred = (2 ** (k - 1) - 0.5 - 1 / (4 * math.log(2))) * math.log(2)
     return d_star(k, tol).d_star / k - pred
 

@@ -1,6 +1,7 @@
 """Unit tests for the interval-arithmetic inequality certificates."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
 from rcsp import certificates
-from rcsp.bp import ModelParams, psi, psi_hat
+from rcsp.bp import ModelParams, degree_window, psi, psi_hat
 from rcsp.certificates import (
     MAX_DIGITS,
     V0_EXACT,
@@ -170,7 +171,8 @@ def test_dphi_boxes_bound_the_old_grid():
 
 @pytest.mark.parametrize("k, d, x", ((13, "36901.5", "0.49995"), (4, "19.5", "0.45")))
 def test_threshold_derivatives_match_numerical(k, d, x):
-    # claim (iv) rests on these closed forms; compare with mpmath.diff
+    # claim (iv) and the slope proof rest on these closed forms; compare
+    # with mpmath.diff
     with mpmath.workdps(50):
         d, x = mpmath.mpf(d), mpmath.mpf(x)
         cases = (
@@ -193,6 +195,56 @@ def test_threshold_certificate_proves_ceiling(k, ceil):
     assert rep.enclosures[2].upper < 0.01
     assert rep.enclosures[3].lower > 0 > rep.enclosures[4].upper
     assert rep.enclosures[5].upper < 0
+
+
+def test_slope_proof_closes_on_every_window():
+    # d_star's binary search rests on this: phi_star strictly decreasing on
+    # the whole window, for every k it brackets
+    iv = MPIntervalContext()
+    iv.prec = certificates.THRESHOLD_PREC_BITS
+    start = time.perf_counter()
+    boxes = {}
+    for k in range(3, 48):
+        window = degree_window(k)
+        slope, boxes[k] = certificates._slope_enclosure(iv, k, window.d_lbd, window.d_ubd)
+        assert slope is not None, f"k={k}: open after {boxes[k]} boxes"
+        assert slope < 0 and slope.b < 0
+    assert time.perf_counter() - start < 5
+    assert boxes[3] > 1 and boxes[4] > 1
+    assert all(boxes[k] == 1 for k in range(6, 48))
+
+
+def test_slope_proof_open_when_the_budget_runs_out(monkeypatch):
+    # a Krawczyk step that never closes leaves the claim open, not proven
+    monkeypatch.setattr(certificates, "_krawczyk", lambda *args: None)
+    iv = MPIntervalContext()
+    iv.prec = certificates.THRESHOLD_PREC_BITS
+    assert certificates._slope_enclosure(iv, 13, 36901, 36902) == (None, 512)
+    rep = certify_ceil_d_star(13, 36901)
+    assert rep.inconclusive and not rep.passed
+    assert [e.status for e in rep.enclosures].count("open") == 3
+
+
+@pytest.mark.parametrize(
+    "k, ceil",
+    ((6, 130), (7, 307), (8, 705), (9, 1592), (10, 3543), (11, 7802), (12, 17028), (14, 79488)),
+)
+def test_threshold_certificate_small_k(k, ceil):
+    # the slope bound along the fixed-point curve closes where one box over
+    # all of [1/2 - 2^-k, 1/2] stayed open (k = 6, 7)
+    rep = certify_ceil_d_star(k, ceil)
+    assert rep.passed and not rep.inconclusive, rep.notes
+    assert [e.status for e in rep.enclosures] == ["proven"] * 6
+
+
+@pytest.mark.parametrize("k, ceil", ((4, 20), (5, 53)))
+def test_threshold_certificate_open_on_psi_prime(k, ceil):
+    # the box over [ceil - 1, d_ubd] x [1/2 - 2^-k, 1/2] does not bound psi'
+    # below 1 here; that claim alone stays open
+    rep = certify_ceil_d_star(k, ceil)
+    assert rep.inconclusive and not rep.passed
+    open_claims = [e.claim for e in rep.enclosures if e.status != "proven"]
+    assert open_claims == [f"0 < psi' < 1 on [{ceil - 1}, d_ubd] x [1/2 - 2^-{k}, 1/2]"]
 
 
 @pytest.mark.parametrize("k, ceil", ((13, 36902), (15, 170340)))

@@ -197,6 +197,16 @@ def test_count_gray_walk_matches_dfs():
     assert count_solutions(inst) == count_solutions_dfs(inst)
 
 
+def test_count_above_histogram_cap_walks_blocks(monkeypatch):
+    # n = 31 is past TENSOR_VARS_LIMIT, the histogram cap, yet the count
+    # still walks the blocks; the DFS oracle agrees (unsatisfiable at d = 9)
+    inst = sample_instance(31, 3, 9, 0, model="coloring")
+    assert inst.n > en.TENSOR_VARS_LIMIT
+    monkeypatch.setattr(en, "count_solutions_dfs", None)
+    assert count_solutions(inst) == 0
+    assert count_solutions_dfs(inst) == 0
+
+
 def test_blocks_clashing_bits_and_uint16(monkeypatch):
     # clause 0 repeats a variable with clashing literals, so neither side
     # survives and it is never violated; clause 1 repeats one with equal

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from rcsp.bp import BracketError, ModelParams, solve_fixed_point
+import rcsp.thresholds as th
 from rcsp.thresholds import (
+    asymptotic_gap,
     d_first_moment,
     d_star,
     phi,
@@ -60,6 +62,47 @@ def test_d_star_k3():
     assert rep.d_star < rep.d_first_moment
 
 
+# float.hex of d_star, bracket and the sign-change cell, captured from the
+# former downward scan over all SCAN_STEPS + 1 grid degrees
+PINNED_D_STAR = {
+    3: ("0x1.af7805b1fddecp+2", ("0x1.af7805b19a416p+2", "0x1.af7805b2617c2p+2"),
+        ("0x1.af75104d551d7p+2", "0x1.af8183f91e647p+2")),
+    4: ("0x1.3e40e3c6e78f2p+4", ("0x1.3e40e3c6d11c3p+4", "0x1.3e40e3c6fe022p+4"),
+        ("0x1.3e3c82b55a014p+4", "0x1.3e52f5a62e15ep+4")),
+    9: ("0x1.8de7c74b31f3cp+10", ("0x1.8de7c74b318d8p+10", "0x1.8de7c74b3259fp+10"),
+        ("0x1.8de7c19a22db3p+10", "0x1.8de88e04fefacp+10")),
+    13: ("0x1.2049e108eab75p+15", ("0x1.2049e108eab50p+15", "0x1.2049e108eab9ap+15"),
+         ("0x1.2049de0918b2bp+15", "0x1.2049e74340db4p+15")),
+    15: ("0x1.4cb1732f062f8p+17", ("0x1.4cb1732f062edp+17", "0x1.4cb1732f06302p+17"),
+         ("0x1.4cb171c0f766bp+17", "0x1.4cb1746a5b99cp+17")),
+    22: ("0x1.e7f9b4c98c708p+24", ("0x1.e7f9b4c98c708p+24", "0x1.e7f9b4c98c709p+24"),
+         ("0x1.e7f9b4c46c8a1p+24", "0x1.e7f9b4cc3b499p+24")),
+    40: ("0x1.bb9d3beb8848cp+43", ("0x1.bb9d3beb8848bp+43", "0x1.bb9d3beb8848cp+43"),
+         ("0x1.bb9d3beb8848bp+43", "0x1.bb9d3beb884a7p+43")),
+    47: ("0x1.049f9333fc23ep+51", ("0x1.049f9333fc23dp+51", "0x1.049f9333fc23ep+51"),
+         ("0x1.049f9333fc23dp+51", "0x1.049f9333fc23ep+51")),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_D_STAR))
+def test_d_star_pinned_and_cheap(k, monkeypatch):
+    # the binary search finds the same cell as the full scan, with at most
+    # 40 fixed-point solves where the scan made 1001 or more
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].d)
+        return solve_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(th, "solve_fixed_point", counted)
+    rep = d_star(k)
+    root, bracket, cell = PINNED_D_STAR[k]
+    assert rep.d_star.hex() == root
+    assert tuple(d.hex() for d in rep.bracket) == bracket
+    assert [tuple(d.hex() for d in c) for c in rep.sign_changes] == [cell]
+    assert 0 < len(solves) <= 40
+
+
 def test_d_star_rejects_bad_tol():
     for tol in (-1e-9, 0.0, math.nan):
         with pytest.raises(ValueError):
@@ -107,6 +150,15 @@ def test_gap_grows_linearly():
         assert rep.d_first_moment - rep.d_star > 0.2 * k
 
 
+def test_asymptotic_gap_shrinks():
+    # Ding-Sly-Sun: the gap to the large-k expansion shrinks in size with k;
+    # from k of about 20 on, float error in d_star dominates it
+    gaps = [asymptotic_gap(k) for k in range(8, 20)]
+    assert gaps[0] == pytest.approx(-2.78e-3, rel=1e-2)
+    assert gaps[-1] == pytest.approx(-2.21e-5, rel=1e-2)
+    assert all(abs(a) > abs(b) for a, b in zip(gaps, gaps[1:]))
+
+
 def test_table_rows_shape():
     rows = table_rows(3, 5)
     assert [r.k for r in rows] == [3, 4, 5]
@@ -118,10 +170,8 @@ def test_table_rows_shape():
 
 @pytest.mark.parametrize("k", (3, 4, 5, 8))
 def test_scan_endpoint_signs(k):
-    # the downward scan relies on: negative at the window top, positive
-    # at the window floor
-    import rcsp.thresholds as th
-
+    # d_star checks these before its search: negative at the window top,
+    # positive at the window floor
     window = th.degree_window(k)
     assert phi_star(ModelParams(k, window.d_ubd)) < 0
     assert phi_star(ModelParams(k, window.d_lbd)) > 0
