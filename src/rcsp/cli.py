@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -379,7 +380,9 @@ def _certify(args):
     return ["id", "computed", "bound", "relation", "margin", "status"], rows, status
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="rcsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     for name, help, args, run in _COMMANDS:

@@ -292,6 +292,16 @@ def _draws(eta: AtomicMeasure, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return prob[keep], lp_a[keep], lp_b[keep]
 
 
+def _flip_class(lits: tuple[int, ...]) -> tuple[int, ...]:
+    """The member of {L, ~L} with first bit 0.
+
+    A clause reads its literals only through L_1 XOR L_j, and the standalone
+    clause only through the unordered pair of sums over L and ~L, so L and
+    ~L give the same clause law and the same functional, bit for bit.
+    """
+    return tuple(1 - b for b in lits) if lits[0] else lits
+
+
 def clause_message_law(
     k: int, eta: AtomicMeasure, spec: ThetaSpec, literals=None
 ) -> ClauseMessageLaw:
@@ -408,8 +418,9 @@ class _LatticeState:
         vals = np.zeros(_KEY_DIMS)
         vals[: len(self.registry.values)] = self.registry.values
         shifted = (self.keys + np.int64(_KEY_BASE)).astype(np.uint64)
-        coords = np.empty((len(self.keys), _KEY_DIMS))
-        for r in range(_KEY_DIMS):
+        # fields past the registry's directions always decode to 0
+        coords = np.zeros((len(self.keys), _KEY_DIMS))
+        for r in range(len(self.registry.values)):
             coords[:, r] = (
                 (shifted >> np.uint64(_KEY_BITS * r)) & np.uint64((1 << _KEY_BITS) - 1)
             ).astype(np.int64) - _KEY_OFF
@@ -532,8 +543,9 @@ def functional_exact(
         raise ValueError(f"eta has {len(eta.atoms)} atoms; at most {MAX_ATOMS}")
     k, d = params.k, params.d
     lits0, per_clause = _normalize_literals(k, d, spec, literals)
-    by_lits = {lv: clause_message_law(k, eta, spec, literals=lv) for lv in set(per_clause)}
-    laws = [by_lits[lv] for lv in per_clause]
+    classes = [_flip_class(lv) for lv in per_clause]
+    by_class = {lv: clause_message_law(k, eta, spec, literals=lv) for lv in set(classes)}
+    laws = [by_class[lv] for lv in classes]
     term = _lattice_term if compress else _reference_term
     t1 = _in_d(term(laws, lam), d)
     return t1 - (k - 1) * (d / k) * _second_term(eta, spec, lits0, lam) / lam
@@ -632,19 +644,23 @@ def literal_invariance_check(
 ) -> LiteralInvarianceResult:
     """Functional invariance across literal choices for a symmetric eta.
 
-    Evaluates every uniform per-clause vector L in {0,1}^k (2^k runs) plus
-    n_random mixed assignments with independent per-clause vectors, and
-    reports the max pairwise deviation; passes iff < 1e-10.  An asymmetric
-    eta is allowed through: the result then just reports the spread.
+    Reports the functional at every uniform per-clause vector L in {0,1}^k
+    plus n_random mixed assignments with independent per-clause vectors,
+    and the max pairwise deviation; passes iff < 1e-10.  L and ~L give the
+    same value bit for bit (see _flip_class), so the 2^k uniform values
+    take 2^(k-1) evaluations, one per complement class.  An asymmetric eta
+    is allowed through: the result then just reports the spread.
     """
     if eta is None:
         eta = eta_cluster(params, beta, tol)
     k = params.k
     n_laws = int(math.ceil(params.d))
-    values = []
+    values, by_class = [], {}
     for bits in itertools.product((0, 1), repeat=k):
-        spec = ThetaSpec("nae", beta, bits)
-        values.append(functional_exact(params, eta, spec, lam))
+        rep = _flip_class(bits)
+        if rep not in by_class:
+            by_class[rep] = functional_exact(params, eta, ThetaSpec("nae", beta, rep), lam)
+        values.append(by_class[rep])
     spec = ThetaSpec("nae", beta)
     rng = np.random.default_rng(seed)
     for _ in range(n_random):

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import rcsp
+from rcsp import cli
 from rcsp.bp import ModelParams
 from rcsp.cli import main
 from rcsp.ensemble import read_instance, sample_instance, write_instance
@@ -256,6 +257,24 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "fixpoint", "--k", "3")[0] == 1  # missing --d
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+
+
+def test_parser_reused_across_calls(capsys):
+    # main builds its parser once per process; a failed parse must leave
+    # nothing behind for the next call
+    bad = ["fixpoint", "--k", "3", "--bogus"]
+    good = ["fixpoint", "--k", "3", "--d", "7"]
+    in_turn = [run(capsys, *bad), run(capsys, *good), run(capsys, *bad)]
+    fresh = []
+    for argv in (bad, good, bad):
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [1, 0, 1]
+    err = in_turn[0][2].splitlines()
+    assert [line.startswith("usage: ") for line in err].count(True) == 1
+    assert err[0].startswith("usage: rcsp fixpoint")
+    assert err[-1].startswith("rcsp fixpoint: error: ")
 
 
 # Every subcommand's CSV header and JSON key order; the JSON keys equal the

@@ -272,6 +272,74 @@ def test_literal_invariance():
     assert len(result.values) == 2**3 + 10
 
 
+def _flip(lits):
+    return tuple(1 - b for b in lits)
+
+
+# Mixed literals drawing on few complement classes, members of one class
+# side by side; more classes would give ASYM more than 9 step directions at k = 4.
+FLIP_CASES = (
+    pytest.param(3, 7.4, 7.4, ((0, 1, 1), MIXED[1] + [(1, 0, 0)]), id="k3"),
+    # eta_cluster needs d in the BP window (16.7 to 22.2 at k = 4), but its
+    # measure can be evaluated at any d; d = 6.5 keeps k = 4 cheap
+    pytest.param(4, 6.5, 17.0, ((1, 0, 1, 1), [(0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0),
+                 (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 0, 1)]), id="k4"),
+)
+
+
+@pytest.mark.parametrize("k, d, window_d, mixed", FLIP_CASES)
+@pytest.mark.parametrize("asym", (False, True), ids=("cluster", "asym"))
+def test_functional_flip_class_bitwise(k, d, window_d, mixed, asym):
+    # the premise of evaluating one literal vector per complement class:
+    # L and ~L give the same clause law and the same functional, bit for bit
+    params = ModelParams(k, d)
+    eta = ASYM if asym else eta_cluster(ModelParams(k, window_d), 2.0)
+
+    def value(literals=None, spec=NAE):
+        return functional_exact(params, eta, spec, 0.5, literals=literals).hex()
+
+    for lits in itertools.product((0, 1), repeat=k):
+        law = clause_message_law(k, eta, NAE, literals=lits)
+        assert law.entries == clause_message_law(k, eta, NAE, literals=_flip(lits)).entries
+        if lits[0] == 0:
+            flipped = ThetaSpec("nae", 2.0, _flip(lits))
+            assert value(spec=ThetaSpec("nae", 2.0, lits)) == value(spec=flipped)
+    lits0, per = mixed
+    assert value((_flip(lits0), per)) == value(mixed)
+    assert value((lits0, [_flip(per[0])] + per[1:])) == value(mixed)
+    assert value((lits0, [_flip(lv) for lv in per])) == value(mixed)
+
+
+@pytest.mark.parametrize("asym", (False, True), ids=("cluster", "asym"))
+def test_literal_invariance_evaluates_each_flip_class_once(monkeypatch, asym):
+    params, beta, lam, n_random = ModelParams(3, 7.4), 2.0, 0.5, 3
+    eta = ASYM if asym else eta_cluster(params, beta)
+    # the plain loop: one evaluation per uniform vector, then the mixed draws
+    expected = [
+        functional_exact(params, eta, ThetaSpec("nae", beta, lits), lam)
+        for lits in itertools.product((0, 1), repeat=3)
+    ]
+    rng = np.random.default_rng(0)
+    for _ in range(n_random):
+        lits0 = tuple(int(b) for b in rng.integers(0, 2, size=3))
+        per = [tuple(int(b) for b in rng.integers(0, 2, size=3)) for _ in range(8)]
+        expected.append(
+            functional_exact(params, eta, ThetaSpec("nae", beta), lam, literals=(lits0, per))
+        )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return functional_exact(*args, **kwargs)
+
+    monkeypatch.setattr(interp, "functional_exact", counted)
+    result = literal_invariance_check(
+        params, beta, lam, eta=ASYM if asym else None, n_random=n_random
+    )
+    assert [v.hex() for v in result.values] == [v.hex() for v in expected]
+    assert len(calls) == 2 ** (3 - 1) + n_random
+
+
 def test_monte_carlo_agrees_with_exact():
     params = ModelParams(3, 7.0)
     beta, lam = 2.0, 0.5
