@@ -265,7 +265,7 @@ def solve_fixed_point(
                 f"fixed-point iteration disagrees with bisection by "
                 f"{iteration_gap:.3e} > 10*tol; uniqueness witness failed"
             )
-        max_derivative = _max_derivative(params, DERIVATIVE_GRID)
+        max_derivative = contraction_certificate(params, DERIVATIVE_GRID)
 
     return BpFixedPoint(
         x=x,
@@ -285,11 +285,6 @@ def contraction_certificate(params: ModelParams, grid_size: int = 10_000) -> flo
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    return _max_derivative(params, grid_size)
-
-
-def _max_derivative(params: ModelParams, grid_size: int) -> float:
-    """max |psi'| over grid_size uniformly spaced points of [1/2 - 2^-k, 1/2]."""
     lo, hi = _domain(params.k)
     xs = np.linspace(lo, hi, grid_size)
     return float(np.max(np.abs(psi_derivative(params, xs))))

@@ -87,8 +87,6 @@ def _cell(value) -> str:
         return format(value, ".17g")
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, 30)
     return str(value)
 
 

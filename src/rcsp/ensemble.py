@@ -187,9 +187,11 @@ def sample_instance(
     m = check_size(n, k, d)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     rng = np.random.default_rng(seed)
     clauses = None
-    for _ in range(max(max_retries, 1)):
+    for _ in range(max_retries):
         perm = rng.permutation(n * d)
         cand = (perm // d).reshape(m, k)
         if not require_simple or is_simple(cand.tolist()):

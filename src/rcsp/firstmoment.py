@@ -8,8 +8,8 @@ conditioned-binomial quantity computed by exact integer convolution.  The
 tilted clause law and the Lagrange map lambda(gamma) give the variational
 form g_alpha whose gap below f_alpha controls the col/nae ratio.
 
-Everything at n <= 400 is exact rational; larger n switches the ez_col
-assembly to 30-digit floats (the integer convolution itself stays exact).
+Every count is exact rational at every size the slot convolution admits
+(k*m <= SLOT_LIMIT half-edges); only the reported ratio is a float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .bp import ModelParams, _bisect
@@ -43,13 +42,11 @@ __all__ = [
     "exhaustive_ez_nae",
 ]
 
-EXACT_N_LIMIT = 400
 # Largest k*m (= n*d half-edges) the slot-count convolution accepts.  It costs
 # O((km)^2) big-integer operations: 0.4 s at k = 3, m = 1000 and 1.6 s at
 # k = 20, m = 150, against 2.6 s at k = 3, m = 2000 (Python 3.11, one core).
 SLOT_LIMIT = 3000
 LAMBDA_LIMIT = 50.0
-COL_FLOAT_DPS = 30
 
 
 @dataclass(frozen=True)
@@ -87,16 +84,15 @@ class TiltedClauseLaw:
 class FirstMomentReport:
     """Exact expected counts for one instance size.
 
-    ez_nae and ez_col are Fraction for n <= 400 and 30-digit mpf beyond;
-    ratio is ez_col / ez_nae as a float.
+    ez_nae and ez_col are exact; ratio is ez_col / ez_nae as a float.
     """
 
     n: int
     m: int
     k: int
     d: int
-    ez_nae: object
-    ez_col: object
+    ez_nae: Fraction
+    ez_col: Fraction
     ratio: float
 
     def __post_init__(self) -> None:
@@ -147,11 +143,7 @@ def _colored_slot_total(n: int, m: int, k: int, gamma) -> int:
     s = gamma * k * m
     if s.denominator != 1:
         raise ValueError(f"k*m*gamma = {s} is not an integer")
-    s = int(s)
-    # the conditioning event {sum X = s} is null only at the gamma extremes
-    if (gamma == 0 and s > 0) or (gamma == 1 and s < k * m):
-        raise ValueError(f"conditioning on slot total {s} has probability zero")
-    return s
+    return int(s)
 
 
 def p_gamma(n: int, m: int, k: int, gamma) -> Fraction:
@@ -180,22 +172,9 @@ def _col_terms(n: int, k: int, d: int):
         yield t, math.comb(n, t), w, math.comb(nd, s)
 
 
-def ez_col(n: int, k: int, d: int):
-    """Expected proper 2-coloring count: sum_t C(n,t) p_{t/n}.
-
-    Exact Fraction for n <= 400; 30-significant-digit mpf beyond (the
-    per-term integers stay exact, only the final sum is rounded).
-    """
-    if n <= EXACT_N_LIMIT:
-        return sum(
-            Fraction(binom * w, denom) for _, binom, w, denom in _col_terms(n, k, d)
-        )
-    with mpmath.workdps(COL_FLOAT_DPS):
-        total = mpmath.mpf(0)
-        for _, binom, w, denom in _col_terms(n, k, d):
-            if w:
-                total += mpmath.mpf(binom) * mpmath.mpf(w) / mpmath.mpf(denom)
-        return total
+def ez_col(n: int, k: int, d: int) -> Fraction:
+    """Expected proper 2-coloring count: sum_t C(n,t) p_{t/n}, exactly."""
+    return sum(Fraction(binom * w, denom) for _, binom, w, denom in _col_terms(n, k, d))
 
 
 def ez_col_window_split(n: int, k: int, d: int) -> tuple[Fraction, Fraction]:
@@ -204,8 +183,6 @@ def ez_col_window_split(n: int, k: int, d: int) -> tuple[Fraction, Fraction]:
     Both parts are exact and sum to ez_col; the split only flags how much of
     the count lives in the central window that dominates as n grows.
     """
-    if n > EXACT_N_LIMIT:
-        raise ValueError(f"exact split needs n <= {EXACT_N_LIMIT}, got {n}")
     half_width = n ** (-1.0 / 3.0)
     inside = Fraction(0)
     outside = Fraction(0)
@@ -316,13 +293,8 @@ def ratio_scan(k: int, d: int, n_list) -> list[FirstMomentReport]:
         m = check_size(n, k, d)
         nae = ez_nae(n, k, d)
         col = ez_col(n, k, d)
-        if isinstance(col, Fraction):
-            ratio = float(col / nae)
-        else:
-            with mpmath.workdps(COL_FLOAT_DPS):
-                ratio = float(col / mpmath.mpf(nae.numerator) * mpmath.mpf(nae.denominator))
         reports.append(
-            FirstMomentReport(n=n, m=m, k=k, d=d, ez_nae=nae, ez_col=col, ratio=ratio)
+            FirstMomentReport(n=n, m=m, k=k, d=d, ez_nae=nae, ez_col=col, ratio=float(col / nae))
         )
     return reports
 

@@ -649,7 +649,9 @@ def literal_invariance_check(
     and the max pairwise deviation; passes iff < 1e-10.  L and ~L give the
     same value bit for bit (see _flip_class), so the 2^k uniform values
     take 2^(k-1) evaluations, one per complement class.  An asymmetric eta
-    is allowed through: the result then just reports the spread.
+    is allowed through and the result then reports the spread, but its
+    mixed assignments can need more step directions than the lattice key
+    holds (at k = 4 they often do), and then SupportBlowupError is raised.
     """
     if eta is None:
         eta = eta_cluster(params, beta, tol)

@@ -132,6 +132,13 @@ def test_firstmo_json(capsys):
     assert data[0]["ratio"] == pytest.approx(4.0 / 7.0, rel=1e-15)
 
 
+def test_firstmo_json_exact_past_400(capsys):
+    code, out, _ = run(capsys, "firstmo", "--k", "2", "--d", "1", "--n", "402", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["ez_col"] == row["ez_nae"] == str(2**201)
+
+
 def test_firstmo_rejects_indivisible(capsys):
     code, _, err = run(capsys, "firstmo", "--k", "3", "--d", "2", "--n", "4")
     assert code == 1
@@ -349,6 +356,9 @@ def test_output_columns(capsys, inst_path, argv, header, keys):
 # the window's ends phi_star is smaller than its own rounding error (ROADMAP
 # item 3), so both must give up with exit 2 and one line.
 CONCENTRATE = ["concentrate", "--k", "3", "--d", "2", "--n", "6", "--samples", "2", "--seed", "5"]
+GEN_SIMPLE = [
+    "gen", "--n", "3", "--k", "3", "--d", "3", "--seed", "0", "--simple", "--out", "{inst}.gen"
+]
 ENDS_CLEANLY = (
     (["dstar", "--k", "22"], 0),
     (["dstar", "--k", "3", "--tol", "1e-300"], 0),
@@ -367,6 +377,8 @@ ENDS_CLEANLY = (
     (["firstmo", "--k", "3", "--d", "3", "--n", "0"], 1),
     (["firstmo", "--k", "3", "--d", "0", "--n", "3"], 1),
     (["firstmo", "--k", "3", "--d", "3", "--n", "100000"], 1),
+    (GEN_SIMPLE + ["--max-retries", "0"], 1),
+    (GEN_SIMPLE + ["--max-retries", "-5"], 1),
     (["interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"], 2),
     (["certify", "--digits", "1001"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),

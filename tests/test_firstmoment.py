@@ -3,14 +3,12 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcsp.bp import ModelParams
 from rcsp.firstmoment import (
-    EXACT_N_LIMIT,
     FirstMomentReport,
     TiltedClauseLaw,
     exhaustive_ez_col,
@@ -81,14 +79,11 @@ def test_ez_col_is_sum_of_p_gamma():
     assert ez_col(n, k, d) == total
 
 
-def test_ez_col_float_path():
+def test_ez_col_exact_past_400():
     # k=2, d=1 collapses to a single t term with value exactly 2^(n/2)
-    n = EXACT_N_LIMIT + 2
-    value = ez_col(n, 2, 1)
-    assert isinstance(value, mpmath.mpf)
-    with mpmath.workdps(30):
-        assert abs(value / mpmath.mpf(2) ** (n // 2) - 1) < mpmath.mpf(10) ** -25
-    assert isinstance(ez_col(EXACT_N_LIMIT, 2, 1), Fraction)
+    value = ez_col(402, 2, 1)
+    assert isinstance(value, Fraction)
+    assert value == 2**201
 
 
 def test_window_split_is_exact_partition():
@@ -96,8 +91,8 @@ def test_window_split_is_exact_partition():
     inside, outside = ez_col_window_split(n, k, d)
     assert inside + outside == ez_col(n, k, d)
     assert inside > outside  # central window carries the bulk
-    with pytest.raises(ValueError):
-        ez_col_window_split(EXACT_N_LIMIT + 2, 2, 1)
+    inside, outside = ez_col_window_split(402, 2, 1)
+    assert inside + outside == ez_col(402, 2, 1) == 2**201
 
 
 def test_report_validation():

@@ -340,6 +340,13 @@ def test_literal_invariance_evaluates_each_flip_class_once(monkeypatch, asym):
     assert len(calls) == 2 ** (3 - 1) + n_random
 
 
+def test_literal_invariance_asymmetric_eta_can_blow_up():
+    # the uniform values evaluate, but a mixed assignment of ASYM at k = 4
+    # needs more step directions than the lattice key holds
+    with pytest.raises(SupportBlowupError, match="10 step directions exceed the 9-dimension"):
+        literal_invariance_check(ModelParams(4, 6.5), 2.0, 0.5, eta=ASYM, n_random=1, seed=0)
+
+
 def test_monte_carlo_agrees_with_exact():
     params = ModelParams(3, 7.0)
     beta, lam = 2.0, 0.5
