@@ -38,6 +38,18 @@ product (state i, then entry j), reduced by np.unique and np.bincount,
 adds them, so both give the same probabilities to the last bit.  Neither
 np.add.reduceat (pairwise summation) nor pre-merging entries that share a
 step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that order.
+
+The merged keys, the sort permutation and the group ids depend only on the
+sorted vector of encoded steps, never on the probabilities.  So evaluations
+whose sorted steps agree at every product step (the literal classes of
+literal_invariance_check, nearby betas of one scan) share that plan: the
+keys are built and sorted once per step, and each member's probability
+row is multiplied, permuted and summed by np.bincount exactly as a lattice
+of its own would do it, so every value is the same float.  A state
+probability below the smallest normal float64 raises SupportBlowupError:
+at large beta the tilted states underflow, and dropping them changed the
+value (at k = 3, d = 4, beta = 65536 the lattice read 33.62 where the
+uncompressed product gives 44.02).
 """
 
 from __future__ import annotations
@@ -72,6 +84,8 @@ __all__ = [
 MAX_PRODUCT_STATES = 10_000_000
 MAX_REFERENCE_TUPLES = 2_000_000
 MAX_ATOMS = 5
+# Smallest normal float64: a lattice state probability below it has lost bits.
+_TINY = np.finfo(float).tiny
 # Samples per Monte Carlo batch; a different value changes the RNG stream.
 MC_CHUNK = 100_000
 
@@ -362,8 +376,18 @@ def _tilt_law(entries, lam):
     return lz1, q, lu1 - lu0
 
 
+def _sort_moves(q: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded (dimension, sign) steps in descending order (ties in entry
+    order), and q in that order."""
+    enc = np.array(
+        [s * (1 << (_KEY_BITS * r)) if r >= 0 else 0 for r, s in moves], dtype=np.int64
+    )
+    order = np.argsort(-enc, kind="stable")
+    return enc[order], q[order]
+
+
 class _LatticeState:
-    """Product-law state: packed signed step counts -> probability.
+    """Product-law states: packed signed step counts -> one probability row per member.
 
     A key is sum_r m_r 2^(7r) with step counts |m_r| <= 62; adding the
     constant base sum_r 63*2^(7r) makes every 7-bit field the digit
@@ -374,70 +398,63 @@ class _LatticeState:
     MAX_PRODUCT_STATES and before allocating it.
     """
 
-    def __init__(self, registry: _StepRegistry) -> None:
-        # checked here, not at the first step: at d < 1 log_moment decodes
-        # the state before any step is taken
-        if len(registry.values) > _KEY_DIMS:
-            raise SupportBlowupError(
-                f"{len(registry.values)} step directions exceed the "
-                f"{_KEY_DIMS}-dimension lattice key"
-            )
-        self.registry = registry
+    def __init__(self, n_rows: int) -> None:
         self.keys = np.array([0], dtype=np.int64)
-        self.probs = np.array([1.0])
+        self.probs = [np.ones(1) for _ in range(n_rows)]
         self.steps_taken = 0
 
-    def step(self, q: np.ndarray, dims, signs) -> None:
+    def step(self, enc: np.ndarray, qs) -> None:
+        """Convolve with one clause law: enc its encoded steps in descending
+        order, qs one array of entry probabilities per row, in enc's order."""
         if self.steps_taken >= _KEY_OFF - 1:
             raise SupportBlowupError(f"more than {_KEY_OFF - 1} product steps")
-        if len(self.keys) * len(q) > MAX_PRODUCT_STATES:
+        if len(self.keys) * len(enc) > MAX_PRODUCT_STATES:
             raise SupportBlowupError(
-                f"product of {len(self.keys)} states and {len(q)} law entries "
+                f"product of {len(self.keys)} states and {len(enc)} law entries "
                 f"exceeds {MAX_PRODUCT_STATES}"
             )
-        enc = np.zeros(len(q), dtype=np.int64)
-        for i, (r, s) in enumerate(zip(dims, signs)):
-            if r >= 0:
-                enc[i] = s * (1 << (_KEY_BITS * r))
-        order = np.argsort(-enc, kind="stable")
-        enc, q = enc[order], q[order]
         # one sorted run per law entry; the stable sort merges the runs
         new_keys = (enc[:, None] + self.keys[None, :]).ravel()
-        new_probs = (q[:, None] * self.probs[None, :]).ravel()
         perm = np.argsort(new_keys, kind="stable")
         sorted_keys = new_keys[perm]
         del new_keys
         starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
         gid = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(sorted_keys)))
         self.keys = sorted_keys[starts]
-        self.probs = np.bincount(gid, weights=new_probs[perm], minlength=len(starts))
+        del sorted_keys
+        # each old row is freed as its new row lands
+        for j, (q, old) in enumerate(zip(qs, self.probs)):
+            self.probs[j] = np.bincount(
+                gid, weights=(q[:, None] * old[None, :]).ravel()[perm], minlength=len(starts)
+            )
         self.steps_taken += 1
 
-    def log_moment(self, lam: float) -> float:
-        """ln E[(1 + e^D)^lam] with D the accumulated sum of basis steps."""
-        vals = np.zeros(_KEY_DIMS)
-        vals[: len(self.registry.values)] = self.registry.values
+    def log_moments(self, lams, bases) -> np.ndarray:
+        """ln E[(1 + e^D)^lam] per row, with D the accumulated sum of basis
+        steps; row j has tilt lams[j] and basis magnitudes bases[j]."""
         shifted = (self.keys + np.int64(_KEY_BASE)).astype(np.uint64)
-        # fields past the registry's directions always decode to 0
+        # fields past the bases' directions always decode to 0
         coords = np.zeros((len(self.keys), _KEY_DIMS))
-        for r in range(len(self.registry.values)):
+        for r in range(max(map(len, bases))):
             coords[:, r] = (
                 (shifted >> np.uint64(_KEY_BITS * r)) & np.uint64((1 << _KEY_BITS) - 1)
             ).astype(np.int64) - _KEY_OFF
-        d_sum = coords @ vals
-        mask = self.probs > 0
-        return _logsumexp(
-            np.log(self.probs[mask]) + lam * np.logaddexp(0.0, d_sum[mask])
-        )
+        out = np.empty(len(lams))
+        for j, (row, lam, basis) in enumerate(zip(self.probs, lams, bases)):
+            vals = np.zeros(_KEY_DIMS)
+            vals[: len(basis)] = basis
+            out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, coords @ vals))
+        return out
 
 
-def _in_d(term, d: float) -> float:
+def _in_d(term, d: float):
     """(1/lam) ln E[(P0 + P1)^lam] at real d from term(n), its value on n clauses.
 
     For non-integer d the term interpolates linearly between floor(d) and
     ceil(d) clause factors, calling term at floor(d) first; the cluster
     measure already carries the real d through its fixed point, and the
-    interpolation leaves the large-beta scaling limit unchanged.
+    interpolation leaves the large-beta scaling limit unchanged.  term may
+    return an array of per-member values.
     """
     d_floor = math.floor(d)
     frac = d - d_floor
@@ -446,29 +463,70 @@ def _in_d(term, d: float) -> float:
     return (1.0 - frac) * term(d_floor) + frac * term(d_floor + 1)
 
 
-def _lattice_term(laws, lam: float):
-    """term(n) on the compressed lattice, for n that never decreases.
+def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
+    """_in_d's value of every (laws, lam) member on the compressed lattice.
 
-    All laws share one step basis; each call steps the one lattice forward
-    to n clauses, so _in_d's two terms together take ceil(d) steps.
+    A step's keys, sort permutation and group ids depend only on its sorted
+    encoded moves, never on the probabilities.  So the members whose sorted
+    moves agree at every step share one _LatticeState with a row each, in
+    chunks of at most one law's entry count (a chunk's rows hold no more
+    numbers than one step's product), and each row is summed exactly as a
+    lattice of its own would sum it.  A member that fails gets its error in
+    errors under its index and nan as its value; its row turns nan, which
+    later steps carry without a warning.  Members past the first failure
+    may be skipped.
     """
-    registry = _StepRegistry()
-    tilted = []
-    for law in laws:
-        lz1, q, delta = _tilt_law(law.entries, lam)
-        dims_signs = [registry.classify(dl) for dl in delta]
-        tilted.append((lz1, q, [t[0] for t in dims_signs], [t[1] for t in dims_signs]))
-    state = _LatticeState(registry)
-    lz_sum = 0.0
+    plans, groups = [], {}
+    for i, (laws, lam) in enumerate(members):
+        registry, tilted = _StepRegistry(), {}
+        for law in laws:
+            if id(law) not in tilted:
+                lz1, q, delta = _tilt_law(law.entries, lam)
+                tilted[id(law)] = lz1, q, [registry.classify(dl) for dl in delta]
+        # checked before encoding, and so before any step: at d < 1 the
+        # unstepped state is decoded
+        if len(registry.values) > _KEY_DIMS:
+            errors[i] = SupportBlowupError(
+                f"{len(registry.values)} step directions exceed the "
+                f"{_KEY_DIMS}-dimension lattice key"
+            )
+            break
+        encoded = {key: (lz1, *_sort_moves(q, moves)) for key, (lz1, q, moves) in tilted.items()}
+        steps = [encoded[id(law)] for law in laws]
+        plans.append((lam, registry.values, steps))
+        groups.setdefault(tuple(enc.tobytes() for _, enc, _ in steps), []).append(i)
+    values = np.full(len(members), math.nan)
+    for group in groups.values():
+        size = min(len(enc) for _, enc, _ in plans[group[0]][2])
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            if errors and chunk[0] > min(errors):
+                break
+            lams, bases, steps = zip(*(plans[i] for i in chunk))
+            lams = np.array(lams)
+            state = _LatticeState(len(chunk))
+            lz_sum = np.zeros(len(chunk))
 
-    def term(n_clauses: int) -> float:
-        nonlocal lz_sum
-        for lz1, q, dims, signs in tilted[state.steps_taken : n_clauses]:
-            state.step(q, dims, signs)
-            lz_sum += lz1
-        return (lz_sum + state.log_moment(lam)) / lam
+            def term(n_clauses: int) -> np.ndarray:
+                nonlocal lz_sum
+                for s in range(state.steps_taken, n_clauses):
+                    state.step(steps[0][s][1], [st[s][2] for st in steps])
+                    lz_sum = lz_sum + [st[s][0] for st in steps]
+                    for j, row in enumerate(state.probs):
+                        if row.min() < _TINY:
+                            row.fill(math.nan)
+                            errors[chunk[j]] = SupportBlowupError(
+                                f"a lattice state probability underflows float64 at product "
+                                f"step {s + 1} (lam = {float(lams[j])!r}): beta is too large "
+                                f"for the exact lattice"
+                            )
+                return (lz_sum + state.log_moments(lams, bases)) / lams
 
-    return term
+            try:
+                values[chunk] = _in_d(term, d)
+            except SupportBlowupError as exc:
+                errors.setdefault(chunk[0], exc)
+    return values
 
 
 def _reference_term(laws, lam: float):
@@ -519,6 +577,54 @@ def _normalize_literals(k: int, d: float, spec: ThetaSpec, literals):
     return lits0, per
 
 
+def _clause_laws(
+    params: ModelParams, eta: AtomicMeasure, spec: ThetaSpec, lam: float, literals
+):
+    """(the ceil(d) clause laws, the standalone clause's literals) of one evaluation."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    if len(eta.atoms) > MAX_ATOMS:
+        raise ValueError(f"eta has {len(eta.atoms)} atoms; at most {MAX_ATOMS}")
+    k = params.k
+    lits0, per_clause = _normalize_literals(k, params.d, spec, literals)
+    classes = [_flip_class(lv) for lv in per_clause]
+    by_class = {lv: clause_message_law(k, eta, spec, literals=lv) for lv in set(classes)}
+    return [by_class[lv] for lv in classes], lits0
+
+
+def _functionals(params: ModelParams, calls, *, compress: bool = True) -> list[float]:
+    """functional_exact of each (eta, spec, lam, literals) in calls, in order.
+
+    The lattice evaluates all calls together (see _lattice_terms).  What
+    is raised is what the one-at-a-time loop would raise first: the error
+    of the lowest call that fails, an error from iterating calls included.
+    """
+    k, d = params.k, params.d
+    members, errors = [], {}
+    try:
+        for eta, spec, lam, literals in calls:
+            members.append((eta, spec, lam, *_clause_laws(params, eta, spec, lam, literals)))
+    except (ValueError, RuntimeError) as exc:
+        errors[len(members)] = exc
+    if compress:
+        first = _lattice_terms([(laws, lam) for _, _, lam, laws, _ in members], d, errors)
+    else:
+        first = [_in_d(_reference_term(laws, lam), d) for _, _, lam, laws, _ in members]
+    values = []
+    for i, ((eta, spec, lam, _, lits0), t1) in enumerate(zip(members, first)):
+        if i in errors:
+            break
+        try:
+            second = _second_term(eta, spec, lits0, lam)
+        except (ValueError, RuntimeError) as exc:
+            errors[i] = exc
+            break
+        values.append(float(t1 - (k - 1) * (d / k) * second / lam))
+    if errors:
+        raise errors[min(errors)]
+    return values
+
+
 def functional_exact(
     params: ModelParams,
     eta: AtomicMeasure,
@@ -535,20 +641,11 @@ def functional_exact(
     case; otherwise spec.literals (or all-zero) applies to every clause.
     compress=False routes the first term through the uncompressed
     reference product (small d only); the compressed and reference paths
-    agree to float accuracy because lattice merging is exact.
+    agree to float accuracy because lattice merging is exact.  Raises
+    SupportBlowupError when the product exceeds its budget or a lattice
+    state probability underflows float64 (beta too large).
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    if len(eta.atoms) > MAX_ATOMS:
-        raise ValueError(f"eta has {len(eta.atoms)} atoms; at most {MAX_ATOMS}")
-    k, d = params.k, params.d
-    lits0, per_clause = _normalize_literals(k, d, spec, literals)
-    classes = [_flip_class(lv) for lv in per_clause]
-    by_class = {lv: clause_message_law(k, eta, spec, literals=lv) for lv in set(classes)}
-    laws = [by_class[lv] for lv in classes]
-    term = _lattice_term if compress else _reference_term
-    t1 = _in_d(term(laws, lam), d)
-    return t1 - (k - 1) * (d / k) * _second_term(eta, spec, lits0, lam) / lam
+    return _functionals(params, [(eta, spec, lam, literals)], compress=compress)[0]
 
 
 def functional_monte_carlo(
@@ -657,18 +754,18 @@ def literal_invariance_check(
         eta = eta_cluster(params, beta, tol)
     k = params.k
     n_laws = int(math.ceil(params.d))
-    values, by_class = [], {}
-    for bits in itertools.product((0, 1), repeat=k):
-        rep = _flip_class(bits)
-        if rep not in by_class:
-            by_class[rep] = functional_exact(params, eta, ThetaSpec("nae", beta, rep), lam)
-        values.append(by_class[rep])
+    uniform = list(itertools.product((0, 1), repeat=k))
+    reps = list(dict.fromkeys(map(_flip_class, uniform)))
+    calls = [(eta, ThetaSpec("nae", beta, rep), lam, None) for rep in reps]
     spec = ThetaSpec("nae", beta)
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         lits0 = tuple(int(b) for b in rng.integers(0, 2, size=k))
         per = [tuple(int(b) for b in rng.integers(0, 2, size=k)) for _ in range(n_laws)]
-        values.append(functional_exact(params, eta, spec, lam, literals=(lits0, per)))
+        calls.append((eta, spec, lam, (lits0, per)))
+    found = _functionals(params, calls)
+    by_class = dict(zip(reps, found))
+    values = [by_class[_flip_class(bits)] for bits in uniform] + found[len(reps) :]
     dev = max(values) - min(values)
     return LiteralInvarianceResult(passed=dev < 1e-10, max_deviation=dev, values=tuple(values))
 
@@ -708,16 +805,23 @@ def beta_scaling_scan(
     to lam (it tends to ln 2 regardless).  P / sqrt(beta) tends to the
     free-energy value phi_star from above as beta grows.
     """
-    rows = []
-    for beta in betas:
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
-        lam = min(beta**-0.5, 0.99) if beta > 0 else 0.99
-        eta = eta_cluster(params, beta, tol)
-        spec = ThetaSpec("coloring", beta)
-        p = functional_exact(params, eta, spec, lam)
-        ratio = p / math.sqrt(beta) if beta > 0 else math.inf
-        rows.append(BetaScanRow(beta=beta, lam=lam, p_value=p, p_over_sqrt_beta=ratio))
+    betas, lams = list(betas), []
+
+    def calls():
+        for beta in betas:
+            if beta < 0:
+                raise ValueError("beta must be >= 0")
+            lams.append(min(beta**-0.5, 0.99) if beta > 0 else 0.99)
+            yield eta_cluster(params, beta, tol), ThetaSpec("coloring", beta), lams[-1], None
+
+    values = _functionals(params, calls())
+    rows = [
+        BetaScanRow(
+            beta=beta, lam=lam, p_value=p,
+            p_over_sqrt_beta=p / math.sqrt(beta) if beta > 0 else math.inf,
+        )
+        for beta, lam, p in zip(betas, lams, values)
+    ]
     ps = phi_star(params, tol)
     tail = sorted(rows, key=lambda r: r.beta)[-3:]
     decreasing = all(

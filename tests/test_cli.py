@@ -380,6 +380,9 @@ ENDS_CLEANLY = (
     (GEN_SIMPLE + ["--max-retries", "0"], 1),
     (GEN_SIMPLE + ["--max-retries", "-5"], 1),
     (["interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"], 2),
+    # lattice state probabilities underflow float64
+    (["interp", "--k", "4", "--d", "20", "--betas", "16,16384", "--model", "coloring"], 2),
+    (["interp", "--k", "4", "--d", "20", "--betas", "65536", "--lam", "0.00390625"], 2),
     (["certify", "--digits", "1001"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),

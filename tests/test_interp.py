@@ -310,34 +310,147 @@ def test_functional_flip_class_bitwise(k, d, window_d, mixed, asym):
     assert value((lits0, [_flip(lv) for lv in per])) == value(mixed)
 
 
+def _one_at_a_time(params, beta, lam, eta, n_random, seed=0):
+    """literal_invariance_check's values by a plain functional_exact loop:
+    one evaluation per uniform vector, then the mixed draws."""
+    k = params.k
+    values = [
+        functional_exact(params, eta, ThetaSpec("nae", beta, lits), lam)
+        for lits in itertools.product((0, 1), repeat=k)
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        lits0 = tuple(int(b) for b in rng.integers(0, 2, size=k))
+        per = [
+            tuple(int(b) for b in rng.integers(0, 2, size=k))
+            for _ in range(math.ceil(params.d))
+        ]
+        values.append(
+            functional_exact(params, eta, ThetaSpec("nae", beta), lam, literals=(lits0, per))
+        )
+    return [v.hex() for v in values]
+
+
 @pytest.mark.parametrize("asym", (False, True), ids=("cluster", "asym"))
 def test_literal_invariance_evaluates_each_flip_class_once(monkeypatch, asym):
     params, beta, lam, n_random = ModelParams(3, 7.4), 2.0, 0.5, 3
     eta = ASYM if asym else eta_cluster(params, beta)
-    # the plain loop: one evaluation per uniform vector, then the mixed draws
-    expected = [
-        functional_exact(params, eta, ThetaSpec("nae", beta, lits), lam)
-        for lits in itertools.product((0, 1), repeat=3)
-    ]
-    rng = np.random.default_rng(0)
-    for _ in range(n_random):
-        lits0 = tuple(int(b) for b in rng.integers(0, 2, size=3))
-        per = [tuple(int(b) for b in rng.integers(0, 2, size=3)) for _ in range(8)]
-        expected.append(
-            functional_exact(params, eta, ThetaSpec("nae", beta), lam, literals=(lits0, per))
-        )
-    calls = []
+    expected = _one_at_a_time(params, beta, lam, eta, n_random)
+    handed = []
+    batch = interp._functionals
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return functional_exact(*args, **kwargs)
+    def counted(params, calls, **kwargs):
+        calls = list(calls)
+        handed.append(len(calls))
+        return batch(params, calls, **kwargs)
 
-    monkeypatch.setattr(interp, "functional_exact", counted)
+    monkeypatch.setattr(interp, "_functionals", counted)
     result = literal_invariance_check(
         params, beta, lam, eta=ASYM if asym else None, n_random=n_random
     )
-    assert [v.hex() for v in result.values] == [v.hex() for v in expected]
-    assert len(calls) == 2 ** (3 - 1) + n_random
+    assert [v.hex() for v in result.values] == expected
+    # one batch: a member per complement class, then the mixed assignments
+    assert handed == [2 ** (3 - 1) + n_random]
+
+
+@pytest.mark.parametrize(
+    "params, beta, lam, asym, n_random",
+    (
+        pytest.param(ModelParams(4, 20), 1.0, 0.7, False, 10, id="k4-d20-18-members"),
+        pytest.param(ModelParams(3, 7.4), 2.0, 0.5, True, 10, id="k3-asym"),
+    ),
+)
+def test_literal_invariance_batch_matches_loop(params, beta, lam, asym, n_random):
+    eta = ASYM if asym else eta_cluster(params, beta)
+    expected = _one_at_a_time(params, beta, lam, eta, n_random)
+    result = literal_invariance_check(params, beta, lam, eta=eta, n_random=n_random)
+    assert [v.hex() for v in result.values] == expected
+
+
+@pytest.mark.parametrize(
+    "params, betas, n_states",
+    (
+        # betas 16 and 64 take the same sorted moves at every step, 256 does not
+        pytest.param(ModelParams(4, 20), (16.0, 64.0, 256.0), 2, id="k4-d20"),
+        pytest.param(ModelParams(3, 7.4), (0.25, 4.0, 16.0, 64.0, 256.0), None, id="k3-d7.4"),
+    ),
+)
+def test_beta_scan_batch_matches_loop(monkeypatch, params, betas, n_states):
+    expected = []
+    for beta in betas:
+        lam = min(beta**-0.5, 0.99)
+        eta = eta_cluster(params, beta)
+        expected.append(functional_exact(params, eta, ThetaSpec("coloring", beta), lam).hex())
+    built = []
+    init = interp._LatticeState.__init__
+
+    def counted(self, n_rows):
+        built.append(n_rows)
+        init(self, n_rows)
+
+    monkeypatch.setattr(interp._LatticeState, "__init__", counted)
+    result = beta_scaling_scan(params, betas)
+    assert [row.p_value.hex() for row in result.rows] == expected
+    assert sum(built) == len(betas)
+    if n_states is not None:
+        assert len(built) == n_states
+
+
+def test_batch_raises_the_loops_first_error():
+    # the loop would evaluate beta = 4096 and raise there before it reached -1
+    params = ModelParams(4, 20)
+    with pytest.raises(SupportBlowupError, match="underflows"):
+        beta_scaling_scan(params, [16.0, 4096.0, -1.0])
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        beta_scaling_scan(params, [16.0, -1.0, 4096.0])
+    # the ASYM mixed assignment's key error comes after valid uniform members
+    with pytest.raises(SupportBlowupError, match="10 step directions"):
+        literal_invariance_check(ModelParams(4, 6.5), 2.0, 0.5, eta=ASYM, n_random=2, seed=0)
+
+
+def test_functional_underflow_raises():
+    # the tilted states underflow float64: the lattice used to drop them and
+    # read 33.62 where the uncompressed product gives 44.02
+    params, beta = ModelParams(3, 4), 65536.0
+    eta = eta_cluster(ModelParams(3, 7.4), beta)
+    spec = ThetaSpec("coloring", beta)
+    reference = functional_exact(params, eta, spec, 1 / 256, compress=False)
+    assert reference == pytest.approx(44.02, abs=0.01)
+    with pytest.raises(SupportBlowupError, match="underflows float64"):
+        functional_exact(params, eta, spec, 1 / 256)
+
+
+def test_literal_invariance_memory_does_not_grow_with_members(monkeypatch):
+    # 204 members run in chunks of at most one law's entry count, so a
+    # state's rows hold no more numbers than one step's product
+    step = interp._LatticeState.step
+    products, peaks = [], []
+
+    def traced(self, enc, qs):
+        products.append(len(self.keys) * len(enc))
+        # what the state holds at its peak: its arrays at the start, plus
+        # the step's growth above the start
+        held = self.keys.nbytes + sum(row.nbytes for row in self.probs)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(self, enc, qs)
+        peaks.append(held + tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(interp._LatticeState, "step", traced)
+    eta = eta_cluster(ModelParams(3, 7.4), 2.0)
+    tracemalloc.start()
+    try:
+        result = literal_invariance_check(ModelParams(3, 20), 2.0, 0.5, eta=eta, n_random=200)
+    finally:
+        tracemalloc.stop()
+    assert result.passed and len(result.values) == 2**3 + 200
+    # a budget of exactly the largest product still evaluates
+    budget = max(products)
+    monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", budget)
+    assert literal_invariance_check(ModelParams(3, 20), 2.0, 0.5, eta=eta, n_random=1).passed
+    # within 8 product-size float64 arrays: the chunked steps peak at about
+    # 6.7 of them, the 204 rows in one state at about 43
+    assert max(peaks) < 8 * 8 * budget
 
 
 def test_literal_invariance_asymmetric_eta_can_blow_up():
@@ -380,64 +493,76 @@ def test_beta_scan_rows():
 
 @st.composite
 def lattice_walks(draw):
-    """1-4 step directions and 1-6 product steps; each law entry moves one
-    unit along a direction (dim -1: no step), so encoded steps repeat often."""
+    """1-4 step directions, 1-6 product steps and 1-4 members.  Each law entry
+    moves one unit along a direction (dim -1: no step), so encoded steps
+    repeat often; at each step the members share the moves, each member in
+    its own entry order and with its own q."""
     n_dims = draw(st.integers(1, 4))
+    n_members = draw(st.integers(1, 4))
     entry = st.tuples(st.integers(-1, n_dims - 1), st.sampled_from((-1, 1)))
     steps = []
     for _ in range(draw(st.integers(1, 6))):
         moves = draw(st.lists(entry, min_size=1, max_size=6))
-        q = draw(
-            st.lists(st.floats(1e-6, 1.0), min_size=len(moves), max_size=len(moves))
-        )
-        steps.append((q, moves))
-    return n_dims, steps
+        members = []
+        for _ in range(n_members):
+            order = draw(st.permutations(range(len(moves))))
+            q = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(moves), max_size=len(moves)))
+            members.append((q, [moves[i] for i in order]))
+        steps.append(members)
+    return n_members, steps
 
 
-def _walk(n_dims, steps):
-    registry = interp._StepRegistry()
-    registry.values = [float(r + 1) for r in range(n_dims)]
-    state = interp._LatticeState(registry)
-    for q, moves in steps:
-        state.step(np.array(q), [r for r, _ in moves], [s for _, s in moves])
+def _walk(steps, n_members=1):
+    """The lattice state after steps, each a list of one (q, moves) per member."""
+    state = interp._LatticeState(n_members)
+    for members in steps:
+        runs = [interp._sort_moves(np.array(q), moves) for q, moves in members]
+        for enc, _ in runs:
+            assert enc.tolist() == runs[0][0].tolist()
+        state.step(runs[0][0], [q for _, q in runs])
     return state
 
 
 @settings(max_examples=200, deadline=None)
 @given(lattice_walks())
 def test_lattice_step_matches_state_major_sum_bitwise(walk):
-    n_dims, steps = walk
-    # states ascending, law entries in index order: the summation order of
-    # the state-major product reduced by np.unique and np.bincount
-    expected = {0: 1.0}
-    for q, moves in steps:
-        new = {}
-        for key in sorted(expected):
-            for qj, (r, s) in zip(q, moves):
-                target = key + (s << (interp._KEY_BITS * r) if r >= 0 else 0)
-                new[target] = new.get(target, 0.0) + expected[key] * qj
-        expected = new
-    state = _walk(n_dims, steps)
-    assert state.keys.tolist() == sorted(expected)
-    assert state.probs.tolist() == [expected[key] for key in sorted(expected)]
+    n_members, steps = walk
+    state = _walk(steps, n_members)
+    for m in range(n_members):
+        # states ascending, the member's law entries in its own order: the
+        # summation order of the state-major product reduced by np.unique
+        # and np.bincount
+        expected = {0: 1.0}
+        for members in steps:
+            q, moves = members[m]
+            new = {}
+            for key in sorted(expected):
+                for qj, (r, s) in zip(q, moves):
+                    target = key + (s << (interp._KEY_BITS * r) if r >= 0 else 0)
+                    new[target] = new.get(target, 0.0) + expected[key] * qj
+            expected = new
+        assert state.keys.tolist() == sorted(expected)
+        assert state.probs[m].tolist() == [expected[key] for key in sorted(expected)]
+        # the one-member state: the member's row does not depend on the others
+        alone = _walk([[members[m]] for members in steps])
+        assert alone.probs[0].tolist() == state.probs[m].tolist()
 
 
 def test_lattice_step_checks_budget_before_building(monkeypatch):
     n_states, n_entries = 1000, 200
     product_bytes = 8 * n_states * n_entries  # each product array
-    q = np.full(n_entries, 1.0 / n_entries)
-    moves = ([0] * n_entries, [1] * n_entries)
+    enc, q = interp._sort_moves(np.full(n_entries, 1.0 / n_entries), [(0, 1)] * n_entries)
 
     def traced_step(limit):
         """(state, traced peak bytes, SupportBlowupError or None) of one step."""
         monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", limit)
-        state = _walk(1, [])
+        state = _walk([])
         state.keys = np.arange(n_states, dtype=np.int64)
-        state.probs = np.full(n_states, 1.0 / n_states)
+        state.probs = [np.full(n_states, 1.0 / n_states)]
         error = None
         tracemalloc.start()
         try:
-            state.step(q, *moves)
+            state.step(enc, [q])
         except SupportBlowupError as exc:
             error = exc
         peak = tracemalloc.get_traced_memory()[1]
