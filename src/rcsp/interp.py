@@ -45,11 +45,15 @@ whose sorted steps agree at every product step (the literal classes of
 literal_invariance_check, nearby betas of one scan) share that plan: the
 keys are built and sorted once per step, and each member's probability
 row is multiplied, permuted and summed by np.bincount exactly as a lattice
-of its own would do it, so every value is the same float.  A state
-probability below the smallest normal float64 raises SupportBlowupError:
-at large beta the tilted states underflow, and dropping them changed the
-value (at k = 3, d = 4, beta = 65536 the lattice read 33.62 where the
-uncompressed product gives 44.02).
+of its own would do it, so every value is the same float.  Members whose
+tilted, sorted laws agree byte for byte at every step (and in lam and the
+basis magnitudes) are twins and share one row, which the same numpy calls
+on the same bytes fill alike: the literal classes of a symmetric eta
+mostly are, so the 9 members of the check at k = 4, d = 20 take 3 rows.
+A state probability below the smallest normal float64 raises
+SupportBlowupError: at large beta the tilted states underflow, and
+dropping them changed the value (at k = 3, d = 4, beta = 65536 the
+lattice read 33.62 where the uncompressed product gives 44.02).
 """
 
 from __future__ import annotations
@@ -352,8 +356,8 @@ class _StepRegistry:
     only by literal flips land on one common lattice.
     """
 
-    def __init__(self) -> None:
-        self.values: list[float] = []
+    def __init__(self, values=()) -> None:
+        self.values: list[float] = list(values)
 
     def classify(self, delta: float) -> tuple[int, int]:
         if abs(delta) <= 1e-12:
@@ -374,6 +378,19 @@ def _tilt_law(entries, lam):
     lz1 = _logsumexp(lnp + lam * lu0)
     q = np.exp(lnp + lam * lu0 - lz1)
     return lz1, q, lu1 - lu0
+
+
+def _encode_law(law: ClauseMessageLaw, lam: float, basis: tuple):
+    """(ln Z1, encoded steps, q, basis after) of law tilted by lam, with its
+    deltas classified against the basis magnitudes so far.  Steps and q come
+    sorted by _sort_moves, or None when the basis outgrows the lattice key."""
+    lz1, q, delta = _tilt_law(law.entries, lam)
+    registry = _StepRegistry(basis)
+    moves = [registry.classify(dl) for dl in delta]
+    basis = tuple(registry.values)
+    if len(basis) > _KEY_DIMS:
+        return lz1, None, None, basis
+    return (lz1, *_sort_moves(q, moves), basis)
 
 
 def _sort_moves(q: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
@@ -466,6 +483,11 @@ def _in_d(term, d: float):
 def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
     """_in_d's value of every (laws, lam) member on the compressed lattice.
 
+    Each distinct law is tilted, classified and encoded once per lam and
+    basis so far, for all members.  Members whose tilts, basis magnitudes
+    and tilted, sorted laws agree byte for byte at every step are twins:
+    the first gets a row, each later one takes its value (and its error)
+    after the walk, which the same numpy calls on the same bytes would give.
     A step's keys, sort permutation and group ids depend only on its sorted
     encoded moves, never on the probabilities.  So the members whose sorted
     moves agree at every step share one _LatticeState with a row each, in
@@ -476,25 +498,30 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
     later steps carry without a warning.  Members past the first failure
     may be skipped.
     """
-    plans, groups = [], {}
+    encoded, plans, groups, first_of, twins = {}, [], {}, {}, {}
     for i, (laws, lam) in enumerate(members):
-        registry, tilted = _StepRegistry(), {}
+        basis, mine = (), {}
         for law in laws:
-            if id(law) not in tilted:
-                lz1, q, delta = _tilt_law(law.entries, lam)
-                tilted[id(law)] = lz1, q, [registry.classify(dl) for dl in delta]
-        # checked before encoding, and so before any step: at d < 1 the
-        # unstepped state is decoded
-        if len(registry.values) > _KEY_DIMS:
+            if id(law) not in mine:
+                key = (id(law), lam, basis)
+                if key not in encoded:
+                    encoded[key] = _encode_law(law, lam, basis)
+                lz1, enc, q, basis = encoded[key]
+                mine[id(law)] = lz1, enc, q
+        # checked before any step: at d < 1 the unstepped state is decoded
+        if len(basis) > _KEY_DIMS:
             errors[i] = SupportBlowupError(
-                f"{len(registry.values)} step directions exceed the "
-                f"{_KEY_DIMS}-dimension lattice key"
+                f"{len(basis)} step directions exceed the {_KEY_DIMS}-dimension lattice key"
             )
             break
-        encoded = {key: (lz1, *_sort_moves(q, moves)) for key, (lz1, q, moves) in tilted.items()}
-        steps = [encoded[id(law)] for law in laws]
-        plans.append((lam, registry.values, steps))
-        groups.setdefault(tuple(enc.tobytes() for _, enc, _ in steps), []).append(i)
+        steps = [mine[id(law)] for law in laws]
+        plans.append((lam, basis, steps))
+        twin = (lam, basis, tuple((lz1, enc.tobytes(), q.tobytes()) for lz1, enc, q in steps))
+        if twin in first_of:
+            twins[i] = first_of[twin]
+        else:
+            first_of[twin] = i
+            groups.setdefault(tuple(enc.tobytes() for _, enc, _ in steps), []).append(i)
     values = np.full(len(members), math.nan)
     for group in groups.values():
         size = min(len(enc) for _, enc, _ in plans[group[0]][2])
@@ -526,6 +553,10 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
                 values[chunk] = _in_d(term, d)
             except SupportBlowupError as exc:
                 errors.setdefault(chunk[0], exc)
+    for i, j in twins.items():
+        values[i] = values[j]
+        if j in errors:
+            errors[i] = errors[j]
     return values
 
 
@@ -578,18 +609,25 @@ def _normalize_literals(k: int, d: float, spec: ThetaSpec, literals):
 
 
 def _clause_laws(
-    params: ModelParams, eta: AtomicMeasure, spec: ThetaSpec, lam: float, literals
+    params: ModelParams, eta: AtomicMeasure, spec: ThetaSpec, lam: float, literals, built
 ):
-    """(the ceil(d) clause laws, the standalone clause's literals) of one evaluation."""
+    """(the ceil(d) clause laws, the standalone clause's literals) of one evaluation.
+
+    built holds the laws of one batch, one per (eta, model, beta, flip class).
+    """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
     if len(eta.atoms) > MAX_ATOMS:
         raise ValueError(f"eta has {len(eta.atoms)} atoms; at most {MAX_ATOMS}")
     k = params.k
     lits0, per_clause = _normalize_literals(k, params.d, spec, literals)
-    classes = [_flip_class(lv) for lv in per_clause]
-    by_class = {lv: clause_message_law(k, eta, spec, literals=lv) for lv in set(classes)}
-    return [by_class[lv] for lv in classes], lits0
+    laws = []
+    for lv in map(_flip_class, per_clause):
+        key = (eta.atoms, eta.log_pairs, spec.model, spec.beta, lv)
+        if key not in built:
+            built[key] = clause_message_law(k, eta, spec, literals=lv)
+        laws.append(built[key])
+    return laws, lits0
 
 
 def _functionals(params: ModelParams, calls, *, compress: bool = True) -> list[float]:
@@ -600,10 +638,12 @@ def _functionals(params: ModelParams, calls, *, compress: bool = True) -> list[f
     of the lowest call that fails, an error from iterating calls included.
     """
     k, d = params.k, params.d
-    members, errors = [], {}
+    members, errors, built = [], {}, {}
     try:
         for eta, spec, lam, literals in calls:
-            members.append((eta, spec, lam, *_clause_laws(params, eta, spec, lam, literals)))
+            members.append(
+                (eta, spec, lam, *_clause_laws(params, eta, spec, lam, literals, built))
+            )
     except (ValueError, RuntimeError) as exc:
         errors[len(members)] = exc
     if compress:

@@ -367,6 +367,19 @@ def test_literal_invariance_batch_matches_loop(params, beta, lam, asym, n_random
     assert [v.hex() for v in result.values] == expected
 
 
+def _count_rows(monkeypatch):
+    """The n_rows of every _LatticeState built from now on, in order."""
+    built = []
+    init = interp._LatticeState.__init__
+
+    def counted(self, n_rows):
+        built.append(n_rows)
+        init(self, n_rows)
+
+    monkeypatch.setattr(interp._LatticeState, "__init__", counted)
+    return built
+
+
 @pytest.mark.parametrize(
     "params, betas, n_states",
     (
@@ -381,19 +394,62 @@ def test_beta_scan_batch_matches_loop(monkeypatch, params, betas, n_states):
         lam = min(beta**-0.5, 0.99)
         eta = eta_cluster(params, beta)
         expected.append(functional_exact(params, eta, ThetaSpec("coloring", beta), lam).hex())
-    built = []
-    init = interp._LatticeState.__init__
-
-    def counted(self, n_rows):
-        built.append(n_rows)
-        init(self, n_rows)
-
-    monkeypatch.setattr(interp._LatticeState, "__init__", counted)
+    built = _count_rows(monkeypatch)
     result = beta_scaling_scan(params, betas)
     assert [row.p_value.hex() for row in result.rows] == expected
     assert sum(built) == len(betas)
     if n_states is not None:
         assert len(built) == n_states
+
+
+def test_literal_invariance_twins_share_a_row(monkeypatch):
+    params, beta, lam = ModelParams(4, 20), 1.0, 0.7
+    eta = eta_cluster(params, beta)
+    expected = _one_at_a_time(params, beta, lam, eta, 1)
+    built = _count_rows(monkeypatch)
+    result = literal_invariance_check(params, beta, lam, n_random=1)
+    assert [v.hex() for v in result.values] == expected
+    # 8 class representatives and 1 mixed assignment carry 3 distinct rows
+    assert sum(built) == 3
+    laws = []
+    build = interp.clause_message_law
+
+    def counted(k, eta, spec, literals=None):
+        laws.append(literals)
+        return build(k, eta, spec, literals=literals)
+
+    monkeypatch.setattr(interp, "clause_message_law", counted)
+    literal_invariance_check(params, beta, lam, n_random=10)
+    # the uniform vectors already use every flip class, and each is built once
+    classes = {interp._flip_class(lits) for lits in itertools.product((0, 1), repeat=4)}
+    assert sorted(laws) == sorted(classes)
+
+
+def test_beta_scan_twins_share_a_row(monkeypatch):
+    params = ModelParams(4, 20)
+    built = _count_rows(monkeypatch)
+    rows = beta_scaling_scan(params, [16.0, 16.0]).rows
+    assert built == [1]
+    assert rows[0].p_value.hex() == rows[1].p_value.hex()
+    # a twin of a failing member fails with it, and the first failure is raised
+    with pytest.raises(SupportBlowupError, match="underflows float64"):
+        beta_scaling_scan(params, [16.0, 4096.0, 4096.0])
+
+
+def test_lattice_twins_agree_in_lam_basis_and_probabilities(monkeypatch):
+    # with u0 = 1 every tilt is ln Z1 = 0 and q = p whatever lam; B swaps
+    # A's probabilities and A2 scales its steps, so each pair below shares
+    # the sorted encoded steps and every ln Z1 but differs in one key part
+    law_a = ClauseMessageLaw(1.0, ((0.0, -0.4, 0.3), (0.0, -0.8, 0.7)))
+    law_b = ClauseMessageLaw(1.0, ((0.0, -0.4, 0.7), (0.0, -0.8, 0.3)))
+    law_a2 = ClauseMessageLaw(1.0, ((0.0, -0.5, 0.3), (0.0, -1.0, 0.7)))
+    members = [([law_a] * 3, 0.5), ([law_b] * 3, 0.5), ([law_a2] * 3, 0.5),
+               ([law_a] * 3, 0.25), ([law_a] * 3, 0.5)]
+    alone = [interp._lattice_terms([member], 3.0, {})[0].hex() for member in members]
+    built = _count_rows(monkeypatch)
+    together = [v.hex() for v in interp._lattice_terms(members, 3.0, {})]
+    assert together == alone
+    assert len(set(alone)) == 4 and sum(built) == 4
 
 
 def test_batch_raises_the_loops_first_error():
