@@ -85,8 +85,6 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     return str(value)
 
 

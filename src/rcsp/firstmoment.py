@@ -31,7 +31,6 @@ __all__ = [
     "ez_nae",
     "p_gamma",
     "ez_col",
-    "ez_col_window_split",
     "tilted_clause_law",
     "lagrange_lambda",
     "xi",
@@ -161,38 +160,19 @@ def p_gamma(n: int, m: int, k: int, gamma) -> Fraction:
     return Fraction(w, math.comb(k * m, s))
 
 
-def _col_terms(n: int, k: int, d: int):
-    """Per-t summand (t, C(n,t), W[t*d], C(nd, t*d)) of the coloring count."""
+def ez_col(n: int, k: int, d: int) -> Fraction:
+    """Expected proper 2-coloring count: sum_t C(n,t) p_{t/n}, exactly.
+
+    The t-th summand is C(n,t) W[t*d] / C(nd, t*d), with W the interior
+    slot counts of the m clauses.
+    """
     m = check_size(n, k, d)
     counts = _interior_slot_counts(k, m)
-    nd = n * d
-    for t in range(n + 1):
-        s = t * d
-        w = counts[s] if s < len(counts) else 0
-        yield t, math.comb(n, t), w, math.comb(nd, s)
-
-
-def ez_col(n: int, k: int, d: int) -> Fraction:
-    """Expected proper 2-coloring count: sum_t C(n,t) p_{t/n}, exactly."""
-    return sum(Fraction(binom * w, denom) for _, binom, w, denom in _col_terms(n, k, d))
-
-
-def ez_col_window_split(n: int, k: int, d: int) -> tuple[Fraction, Fraction]:
-    """ez_col split into the |t/n - 1/2| <= n^{-1/3} window and its complement.
-
-    Both parts are exact and sum to ez_col; the split only flags how much of
-    the count lives in the central window that dominates as n grows.
-    """
-    half_width = n ** (-1.0 / 3.0)
-    inside = Fraction(0)
-    outside = Fraction(0)
-    for t, binom, w, denom in _col_terms(n, k, d):
-        term = Fraction(binom * w, denom)
-        if abs(t / n - 0.5) <= half_width:
-            inside += term
-        else:
-            outside += term
-    return inside, outside
+    return sum(
+        Fraction(math.comb(n, t) * (counts[t * d] if t * d < len(counts) else 0),
+                 math.comb(n * d, t * d))
+        for t in range(n + 1)
+    )
 
 
 def _clause_weights(k: int, gamma: float, lam: float) -> tuple[float, list[float]]:

@@ -48,8 +48,10 @@ row is multiplied, permuted and summed by np.bincount exactly as a lattice
 of its own would do it, so every value is the same float.  Members whose
 tilted, sorted laws agree byte for byte at every step (and in lam and the
 basis magnitudes) are twins and share one row, which the same numpy calls
-on the same bytes fill alike: the literal classes of a symmetric eta
-mostly are, so the 9 members of the check at k = 4, d = 20 take 3 rows.
+on the same bytes fill alike.  L and ~L share their clause laws, so they
+always are twins, and the literal classes of a symmetric eta mostly are:
+the 17 members of the check at k = 4, d = 20 with one mixed assignment
+take 3 rows.
 A state probability below the smallest normal float64 raises
 SupportBlowupError: at large beta the tilted states underflow, and
 dropping them changed the value (at k = 3, d = 4, beta = 65536 the
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,12 +125,14 @@ class AtomicMeasure:
     log_pairs holds (ln value, ln(1-value)) per atom.  Pass it when the
     values are known in log form more precisely than the float values
     themselves (eta_cluster does, so that beta up to 256 loses nothing);
-    otherwise it is derived from the values.
+    otherwise it is derived from the values.  The log pairs are part of
+    equality and the hash: two measures with the same atoms but different
+    log pairs give different functionals, so they must not compare equal.
     """
 
     atoms: tuple[tuple[float, float], ...]
     symmetric: bool = False
-    log_pairs: tuple[tuple[float, float], ...] = field(default=None, compare=False)
+    log_pairs: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -347,29 +351,6 @@ def clause_message_law(
     return ClauseMessageLaw(beta=beta, entries=tuple(merged.values()))
 
 
-class _StepRegistry:
-    """Shared basis of distinct |delta| magnitudes across clause laws.
-
-    Entry deltas map to (dimension, sign) unit steps; |delta| below 1e-12
-    maps to no step.  A delta matching an existing basis magnitude within
-    1e-9 (relative to its size) reuses that dimension, so laws differing
-    only by literal flips land on one common lattice.
-    """
-
-    def __init__(self, values=()) -> None:
-        self.values: list[float] = list(values)
-
-    def classify(self, delta: float) -> tuple[int, int]:
-        if abs(delta) <= 1e-12:
-            return -1, 0
-        mag = abs(delta)
-        for r, v in enumerate(self.values):
-            if abs(mag - v) <= 1e-9 * max(1.0, v):
-                return r, (1 if delta > 0 else -1)
-        self.values.append(mag)
-        return len(self.values) - 1, (1 if delta > 0 else -1)
-
-
 def _tilt_law(entries, lam):
     """Per-clause tilt: ln Z1 = ln E[u(0)^lam], tilted pmf q, delta = ln u1 - ln u0."""
     lu0 = np.array([e[0] for e in entries])
@@ -381,13 +362,28 @@ def _tilt_law(entries, lam):
 
 
 def _encode_law(law: ClauseMessageLaw, lam: float, basis: tuple):
-    """(ln Z1, encoded steps, q, basis after) of law tilted by lam, with its
-    deltas classified against the basis magnitudes so far.  Steps and q come
-    sorted by _sort_moves, or None when the basis outgrows the lattice key."""
+    """(ln Z1, encoded steps, q, basis after) of law tilted by lam.
+
+    Each delta becomes a (dimension, sign) unit step: |delta| <= 1e-12
+    takes no step, a magnitude within 1e-9 (relative to its size) of a
+    basis magnitude reuses that dimension, and any other magnitude opens a
+    new one, so laws differing only by literal flips land on one common
+    lattice.  Steps and q come sorted by _sort_moves, or None when the
+    basis outgrows the lattice key.
+    """
     lz1, q, delta = _tilt_law(law.entries, lam)
-    registry = _StepRegistry(basis)
-    moves = [registry.classify(dl) for dl in delta]
-    basis = tuple(registry.values)
+    basis, moves = list(basis), []
+    for dl in delta.tolist():
+        mag = abs(dl)
+        if mag <= 1e-12:
+            moves.append((-1, 0))
+            continue
+        r = next((r for r, v in enumerate(basis) if abs(mag - v) <= 1e-9 * max(1.0, v)), None)
+        if r is None:
+            r = len(basis)
+            basis.append(mag)
+        moves.append((r, 1 if dl > 0 else -1))
+    basis = tuple(basis)
     if len(basis) > _KEY_DIMS:
         return lz1, None, None, basis
     return (lz1, *_sort_moves(q, moves), basis)
@@ -623,7 +619,7 @@ def _clause_laws(
     lits0, per_clause = _normalize_literals(k, params.d, spec, literals)
     laws = []
     for lv in map(_flip_class, per_clause):
-        key = (eta.atoms, eta.log_pairs, spec.model, spec.beta, lv)
+        key = (eta, spec.model, spec.beta, lv)
         if key not in built:
             built[key] = clause_message_law(k, eta, spec, literals=lv)
         laws.append(built[key])
@@ -783,9 +779,9 @@ def literal_invariance_check(
 
     Reports the functional at every uniform per-clause vector L in {0,1}^k
     plus n_random mixed assignments with independent per-clause vectors,
-    and the max pairwise deviation; passes iff < 1e-10.  L and ~L give the
-    same value bit for bit (see _flip_class), so the 2^k uniform values
-    take 2^(k-1) evaluations, one per complement class.  An asymmetric eta
+    and the max pairwise deviation; passes iff < 1e-10.  L and ~L share
+    their clause laws (see _flip_class), so in the one batch of all the
+    evaluations they are twins and share one lattice row.  An asymmetric eta
     is allowed through and the result then reports the spread, but its
     mixed assignments can need more step directions than the lattice key
     holds (at k = 4 they often do), and then SupportBlowupError is raised.
@@ -794,18 +790,17 @@ def literal_invariance_check(
         eta = eta_cluster(params, beta, tol)
     k = params.k
     n_laws = int(math.ceil(params.d))
-    uniform = list(itertools.product((0, 1), repeat=k))
-    reps = list(dict.fromkeys(map(_flip_class, uniform)))
-    calls = [(eta, ThetaSpec("nae", beta, rep), lam, None) for rep in reps]
+    calls = [
+        (eta, ThetaSpec("nae", beta, lits), lam, None)
+        for lits in itertools.product((0, 1), repeat=k)
+    ]
     spec = ThetaSpec("nae", beta)
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         lits0 = tuple(int(b) for b in rng.integers(0, 2, size=k))
         per = [tuple(int(b) for b in rng.integers(0, 2, size=k)) for _ in range(n_laws)]
         calls.append((eta, spec, lam, (lits0, per)))
-    found = _functionals(params, calls)
-    by_class = dict(zip(reps, found))
-    values = [by_class[_flip_class(bits)] for bits in uniform] + found[len(reps) :]
+    values = _functionals(params, calls)
     dev = max(values) - min(values)
     return LiteralInvarianceResult(passed=dev < 1e-10, max_deviation=dev, values=tuple(values))
 

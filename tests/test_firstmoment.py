@@ -14,7 +14,6 @@ from rcsp.firstmoment import (
     exhaustive_ez_col,
     exhaustive_ez_nae,
     ez_col,
-    ez_col_window_split,
     ez_nae,
     f_alpha,
     g_alpha,
@@ -84,15 +83,6 @@ def test_ez_col_exact_past_400():
     value = ez_col(402, 2, 1)
     assert isinstance(value, Fraction)
     assert value == 2**201
-
-
-def test_window_split_is_exact_partition():
-    n, k, d = 30, 3, 3
-    inside, outside = ez_col_window_split(n, k, d)
-    assert inside + outside == ez_col(n, k, d)
-    assert inside > outside  # central window carries the bulk
-    inside, outside = ez_col_window_split(402, 2, 1)
-    assert inside + outside == ez_col(402, 2, 1) == 2**201
 
 
 def test_report_validation():

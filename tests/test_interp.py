@@ -290,7 +290,7 @@ FLIP_CASES = (
 @pytest.mark.parametrize("k, d, window_d, mixed", FLIP_CASES)
 @pytest.mark.parametrize("asym", (False, True), ids=("cluster", "asym"))
 def test_functional_flip_class_bitwise(k, d, window_d, mixed, asym):
-    # the premise of evaluating one literal vector per complement class:
+    # the premise of L and ~L sharing a lattice row:
     # L and ~L give the same clause law and the same functional, bit for bit
     params = ModelParams(k, d)
     eta = ASYM if asym else eta_cluster(ModelParams(k, window_d), 2.0)
@@ -331,8 +331,21 @@ def _one_at_a_time(params, beta, lam, eta, n_random, seed=0):
     return [v.hex() for v in values]
 
 
+def _count_rows(monkeypatch):
+    """The n_rows of every _LatticeState built from now on, in order."""
+    built = []
+    init = interp._LatticeState.__init__
+
+    def counted(self, n_rows):
+        built.append(n_rows)
+        init(self, n_rows)
+
+    monkeypatch.setattr(interp._LatticeState, "__init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("asym", (False, True), ids=("cluster", "asym"))
-def test_literal_invariance_evaluates_each_flip_class_once(monkeypatch, asym):
+def test_literal_invariance_complements_share_a_row(monkeypatch, asym):
     params, beta, lam, n_random = ModelParams(3, 7.4), 2.0, 0.5, 3
     eta = ASYM if asym else eta_cluster(params, beta)
     expected = _one_at_a_time(params, beta, lam, eta, n_random)
@@ -345,12 +358,28 @@ def test_literal_invariance_evaluates_each_flip_class_once(monkeypatch, asym):
         return batch(params, calls, **kwargs)
 
     monkeypatch.setattr(interp, "_functionals", counted)
+    built = _count_rows(monkeypatch)
     result = literal_invariance_check(
         params, beta, lam, eta=ASYM if asym else None, n_random=n_random
     )
     assert [v.hex() for v in result.values] == expected
-    # one batch: a member per complement class, then the mixed assignments
-    assert handed == [2 ** (3 - 1) + n_random]
+    # one batch: every uniform vector, then the mixed assignments
+    assert handed == [2**3 + n_random]
+    # L and ~L share their clause laws, so they are twins and share a row
+    # (5 rows for the cluster measure, 6 for ASYM)
+    assert sum(built) <= 2 ** (3 - 1) + n_random
+
+
+def test_measure_equality_sees_log_pairs():
+    plain = AtomicMeasure(((0.5, 1.0),))
+    logged = AtomicMeasure(((0.5, 1.0),), log_pairs=((-0.6, -0.8),))
+    assert plain != logged and hash(plain) != hash(logged)
+    # one batch keys its shared clause laws on the measure: each keeps its own
+    params, spec = ModelParams(3, 7), ThetaSpec("coloring", 2.0)
+    values = interp._functionals(params, [(plain, spec, 0.5, None), (logged, spec, 0.5, None)])
+    assert values == [0.12484461040353834, 0.20556715094600042]
+    alone = [functional_exact(params, eta, spec, 0.5).hex() for eta in (plain, logged)]
+    assert [v.hex() for v in values] == alone
 
 
 @pytest.mark.parametrize(
@@ -365,19 +394,6 @@ def test_literal_invariance_batch_matches_loop(params, beta, lam, asym, n_random
     expected = _one_at_a_time(params, beta, lam, eta, n_random)
     result = literal_invariance_check(params, beta, lam, eta=eta, n_random=n_random)
     assert [v.hex() for v in result.values] == expected
-
-
-def _count_rows(monkeypatch):
-    """The n_rows of every _LatticeState built from now on, in order."""
-    built = []
-    init = interp._LatticeState.__init__
-
-    def counted(self, n_rows):
-        built.append(n_rows)
-        init(self, n_rows)
-
-    monkeypatch.setattr(interp._LatticeState, "__init__", counted)
-    return built
 
 
 @pytest.mark.parametrize(
@@ -409,7 +425,7 @@ def test_literal_invariance_twins_share_a_row(monkeypatch):
     built = _count_rows(monkeypatch)
     result = literal_invariance_check(params, beta, lam, n_random=1)
     assert [v.hex() for v in result.values] == expected
-    # 8 class representatives and 1 mixed assignment carry 3 distinct rows
+    # 16 uniform vectors and 1 mixed assignment carry 3 distinct rows
     assert sum(built) == 3
     laws = []
     build = interp.clause_message_law
@@ -477,7 +493,7 @@ def test_functional_underflow_raises():
 
 
 def test_literal_invariance_memory_does_not_grow_with_members(monkeypatch):
-    # 204 members run in chunks of at most one law's entry count, so a
+    # 208 members run in chunks of at most one law's entry count, so a
     # state's rows hold no more numbers than one step's product
     step = interp._LatticeState.step
     products, peaks = [], []
@@ -505,7 +521,7 @@ def test_literal_invariance_memory_does_not_grow_with_members(monkeypatch):
     monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", budget)
     assert literal_invariance_check(ModelParams(3, 20), 2.0, 0.5, eta=eta, n_random=1).passed
     # within 8 product-size float64 arrays: the chunked steps peak at about
-    # 6.7 of them, the 204 rows in one state at about 43
+    # 6.7 of them, the 202 distinct rows in one state at about 43
     assert max(peaks) < 8 * 8 * budget
 
 
