@@ -81,8 +81,6 @@ _float_list = _list_of(float, "numbers")
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -176,8 +176,8 @@ class ThetaSpec:
 
     The clause weight of an assignment is 1 - theta = e^{-beta} when the
     assignment is monochromatic after XOR with the literals, else 1.
-    Coloring is the all-zero-literal case.  beta = 0 is admitted as the
-    degenerate weight-1 limit.
+    Coloring is the all-zero-literal case.  beta must be finite; beta = 0
+    is admitted as the degenerate weight-1 limit.
     """
 
     model: str
@@ -187,8 +187,8 @@ class ThetaSpec:
     def __post_init__(self) -> None:
         if self.model not in ("coloring", "nae"):
             raise ValueError(f"model must be 'coloring' or 'nae', got {self.model!r}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta!r}")
         if self.literals is not None:
             object.__setattr__(self, "literals", _literal_bits(self.model, self.literals))
 
@@ -253,10 +253,11 @@ def eta_cluster(params: ModelParams, beta: float, tol: float = 1e-12) -> AtomicM
     Atoms 1/(1+e^{-2 beta}) and its complement carry mass x each, the atom
     1/2 carries 1-2x, with x = solve_fixed_point(params, tol).x.  At
     beta = 0 (or small enough that the outer atoms collide with 1/2 in
-    floats) the measure degenerates to a point mass at 1/2.
+    floats) the measure degenerates to a point mass at 1/2.  beta must be
+    finite.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
     lhalf = -math.log(2.0)
     lc_high = -math.log1p(math.exp(-2.0 * beta))
     lc_low = -2.0 * beta + lc_high
@@ -604,12 +605,15 @@ def _normalize_literals(k: int, d: float, spec: ThetaSpec, literals):
     return lits0, per
 
 
-def _clause_laws(
+def _member(
     params: ModelParams, eta: AtomicMeasure, spec: ThetaSpec, lam: float, literals, built
 ):
-    """(the ceil(d) clause laws, the standalone clause's literals) of one evaluation.
+    """(the ceil(d) clause laws, ln E[u0^lam] of the standalone clause) of one evaluation.
 
-    built holds the laws of one batch, one per (eta, model, beta, flip class).
+    built holds what one batch shares: the clause laws under (eta, model,
+    beta, flip class) and the standalone terms under (eta, beta, flip class
+    of L0, lam).  The term reads neither the model nor which of L0 and ~L0
+    it is given (see _flip_class), so its class shares one float.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
@@ -623,42 +627,40 @@ def _clause_laws(
         if key not in built:
             built[key] = clause_message_law(k, eta, spec, literals=lv)
         laws.append(built[key])
-    return laws, lits0
+    lv0 = _flip_class(lits0)
+    key = (eta, spec.beta, lv0, lam)
+    if key not in built:
+        built[key] = _second_term(eta, spec, lv0, lam)
+    return laws, built[key]
 
 
 def _functionals(params: ModelParams, calls, *, compress: bool = True) -> list[float]:
     """functional_exact of each (eta, spec, lam, literals) in calls, in order.
 
-    The lattice evaluates all calls together (see _lattice_terms).  What
-    is raised is what the one-at-a-time loop would raise first: the error
-    of the lowest call that fails, an error from iterating calls included.
+    One pass builds each call's member: its clause laws and its
+    standalone-clause term, both shared by flip class across the batch (see
+    _member).  The lattice then evaluates all members together (see
+    _lattice_terms).  What is raised is the error of the lowest call that
+    fails, an error from iterating calls included; a member's laws and
+    standalone term fail before any lattice runs.
     """
     k, d = params.k, params.d
     members, errors, built = [], {}, {}
     try:
         for eta, spec, lam, literals in calls:
-            members.append(
-                (eta, spec, lam, *_clause_laws(params, eta, spec, lam, literals, built))
-            )
+            members.append((lam, *_member(params, eta, spec, lam, literals, built)))
     except (ValueError, RuntimeError) as exc:
         errors[len(members)] = exc
     if compress:
-        first = _lattice_terms([(laws, lam) for _, _, lam, laws, _ in members], d, errors)
+        first = _lattice_terms([(laws, lam) for lam, laws, _ in members], d, errors)
     else:
-        first = [_in_d(_reference_term(laws, lam), d) for _, _, lam, laws, _ in members]
-    values = []
-    for i, ((eta, spec, lam, _, lits0), t1) in enumerate(zip(members, first)):
-        if i in errors:
-            break
-        try:
-            second = _second_term(eta, spec, lits0, lam)
-        except (ValueError, RuntimeError) as exc:
-            errors[i] = exc
-            break
-        values.append(float(t1 - (k - 1) * (d / k) * second / lam))
+        first = [_in_d(_reference_term(laws, lam), d) for lam, laws, _ in members]
     if errors:
         raise errors[min(errors)]
-    return values
+    return [
+        float(t1 - (k - 1) * (d / k) * second / lam)
+        for (lam, _, second), t1 in zip(members, first)
+    ]
 
 
 def functional_exact(
@@ -818,16 +820,11 @@ class BetaScanResult:
     """Functional scaling across inverse temperatures.
 
     rows follow the input beta order.  phi_star is the free-energy value
-    at the BP fixed point for these params.  The tail flags diagnose the
-    three largest betas: ratios decreasing, and the last ratio below
-    phi_star/2 (meaningful when phi_star < 0).  Flags are reported, never
-    raised on, so a scan over small betas stays usable.
+    at the BP fixed point for these params.
     """
 
     rows: tuple[BetaScanRow, ...]
     phi_star: float
-    tail_decreasing: bool
-    tail_below_half_phi_star: bool
 
 
 def beta_scaling_scan(
@@ -850,23 +847,11 @@ def beta_scaling_scan(
             yield eta_cluster(params, beta, tol), ThetaSpec("coloring", beta), lams[-1], None
 
     values = _functionals(params, calls())
-    rows = [
+    rows = tuple(
         BetaScanRow(
             beta=beta, lam=lam, p_value=p,
             p_over_sqrt_beta=p / math.sqrt(beta) if beta > 0 else math.inf,
         )
         for beta, lam, p in zip(betas, lams, values)
-    ]
-    ps = phi_star(params, tol)
-    tail = sorted(rows, key=lambda r: r.beta)[-3:]
-    decreasing = all(
-        tail[i + 1].p_over_sqrt_beta < tail[i].p_over_sqrt_beta
-        for i in range(len(tail) - 1)
     )
-    below = bool(tail) and tail[-1].p_over_sqrt_beta < ps / 2.0
-    return BetaScanResult(
-        rows=tuple(rows),
-        phi_star=ps,
-        tail_decreasing=decreasing,
-        tail_below_half_phi_star=below,
-    )
+    return BetaScanResult(rows=rows, phi_star=phi_star(params, tol))

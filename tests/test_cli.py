@@ -383,6 +383,10 @@ ENDS_CLEANLY = (
     # lattice state probabilities underflow float64
     (["interp", "--k", "4", "--d", "20", "--betas", "16,16384", "--model", "coloring"], 2),
     (["interp", "--k", "4", "--d", "20", "--betas", "65536", "--lam", "0.00390625"], 2),
+    # a non-finite beta is bad input, on the --lam path and in a scan
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "inf", "--lam", "0.5"], 1),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "nan", "--lam", "0.5"], 1),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "16,inf"], 1),
     (["certify", "--digits", "1001"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),

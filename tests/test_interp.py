@@ -54,8 +54,11 @@ def test_measure_log_pairs_derived():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ThetaSpec("xor", 1.0)
-    with pytest.raises(ValueError):
-        ThetaSpec("nae", -1.0)
+    for beta in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            ThetaSpec("nae", beta)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            eta_cluster(ModelParams(3, 7.0), beta)
     with pytest.raises(ValueError):
         ThetaSpec("nae", 1.0, literals=(0, 2, 0))
     with pytest.raises(ValueError):
@@ -423,10 +426,23 @@ def test_literal_invariance_twins_share_a_row(monkeypatch):
     eta = eta_cluster(params, beta)
     expected = _one_at_a_time(params, beta, lam, eta, 1)
     built = _count_rows(monkeypatch)
+    seconds = []
+    second = interp._second_term
+
+    def counted_second(eta, spec, lits0, lam):
+        seconds.append(lits0)
+        return second(eta, spec, lits0, lam)
+
+    monkeypatch.setattr(interp, "_second_term", counted_second)
     result = literal_invariance_check(params, beta, lam, n_random=1)
     assert [v.hex() for v in result.values] == expected
     # 16 uniform vectors and 1 mixed assignment carry 3 distinct rows
     assert sum(built) == 3
+    # the uniform vectors already use every flip class, and each standalone
+    # term and each clause law is built once per class and batch
+    classes = sorted({interp._flip_class(lits) for lits in itertools.product((0, 1), repeat=4)})
+    assert sorted(seconds) == classes
+    seconds.clear()
     laws = []
     build = interp.clause_message_law
 
@@ -436,9 +452,19 @@ def test_literal_invariance_twins_share_a_row(monkeypatch):
 
     monkeypatch.setattr(interp, "clause_message_law", counted)
     literal_invariance_check(params, beta, lam, n_random=10)
-    # the uniform vectors already use every flip class, and each is built once
-    classes = {interp._flip_class(lits) for lits in itertools.product((0, 1), repeat=4)}
-    assert sorted(laws) == sorted(classes)
+    assert sorted(seconds) == sorted(laws) == classes
+
+
+def test_standalone_budget_fails_before_the_lattice(monkeypatch):
+    # 3^2 clause-law draws fit the budget, the standalone clause's 3^3 do not:
+    # the member fails while it is built, before any lattice state exists
+    monkeypatch.setattr(interp, "MAX_REFERENCE_TUPLES", 10)
+    params = ModelParams(3, 7.4)
+    eta = eta_cluster(params, 2.0)
+    built = _count_rows(monkeypatch)
+    with pytest.raises(SupportBlowupError, match=r"3\^3 clause draws exceed the budget"):
+        functional_exact(params, eta, ThetaSpec("coloring", 2.0), 0.5)
+    assert built == []
 
 
 def test_beta_scan_twins_share_a_row(monkeypatch):
