@@ -222,8 +222,8 @@ def solve_fixed_point(
     is true, fixed-point iteration from both endpoints must land within
     10*tol of the bisection answer, certifying uniqueness under the
     contraction property, and sup |psi'| is estimated on a
-    DERIVATIVE_GRID-point grid.  check=False skips both (dense scans rely
-    on it).
+    DERIVATIVE_GRID-point grid.  check=False skips both (phi_star,
+    eta_cluster and the certificates' float centres use it).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -415,7 +415,10 @@ class ThresholdCertificate:
 
 
 def _enclosure(claim: str, value, above=None, below=None) -> Enclosure:
-    """Decide above < value < below on an mpmath.iv interval."""
+    """Decide above < value < below on an mpmath.iv interval; value None is
+    an enclosure that could not be built, open on [-inf, inf]."""
+    if value is None:
+        return Enclosure(claim, -math.inf, math.inf, "open")
     return Enclosure(claim, float(value.a), float(value.b), _status(value, above, below))
 
 
@@ -551,22 +554,12 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
             below=0,
         ),
         _enclosure(f"0 < psi' < 1 {on_box}", psi_derivative(box, xs), above=0, below=1),
+        _enclosure(f"phi_star({ceil - 1}) > 0", _phi_star_enclosure(iv, k, ceil - 1), above=0),
+        _enclosure(f"phi_star({ceil}) < 0", _phi_star_enclosure(iv, k, ceil), below=0),
     ]
-    for d, relation in ((ceil - 1, ">"), (ceil, "<")):
-        claim = f"phi_star({d}) {relation} 0"
-        value = _phi_star_enclosure(iv, k, d)
-        if value is None:
-            enclosures.append(Enclosure(claim, -math.inf, math.inf, "open"))
-        elif relation == ">":
-            enclosures.append(_enclosure(claim, value, above=0))
-        else:
-            enclosures.append(_enclosure(claim, value, below=0))
     slope, boxes = _slope_enclosure(iv, k, ceil, window.d_ubd)
     claim = f"dphi_star/dd < 0 along the fixed-point curve over [{ceil}, d_ubd], {boxes} box(es)"
-    if slope is None:
-        enclosures.append(Enclosure(claim, -math.inf, math.inf, "open"))
-    else:
-        enclosures.append(_enclosure(claim, slope, below=0))
+    enclosures.append(_enclosure(claim, slope, below=0))
 
     passed, inconclusive = _verdict([e.status for e in enclosures])
     if passed:

@@ -45,7 +45,7 @@ from .ensemble import (
     write_instance,
 )
 from .firstmoment import FirstMomentReport, p_gamma, ratio_scan
-from .interp import ThetaSpec, beta_scaling_scan, eta_cluster, functional_exact
+from .interp import BetaScanRow, ThetaSpec, beta_scaling_scan, eta_cluster, functional_exact
 from .thresholds import d_star, phi, table_rows
 
 __all__ = ["main"]
@@ -193,7 +193,7 @@ def _table(args):
     "solve the message fixed point at one (k, d)",
     _K,
     _D,
-    _arg("--tol", type=float, default=1e-12, help="bisection tolerance"),
+    _FIXED_POINT_TOL,
     *_OUTPUT,
 )
 def _fixpoint(args):
@@ -248,17 +248,17 @@ def _dstar(args):
 )
 def _interp(args):
     params = ModelParams(args.k, args.d)
-    headers = ["beta", "lambda", "P", "P_over_sqrt_beta"]
     if args.lam is None:
-        scan = beta_scaling_scan(params, args.betas, args.tol)
-        return headers, [[r.beta, r.lam, r.p_value, r.p_over_sqrt_beta] for r in scan.rows]
-    if len(args.betas) != 1:
+        rows = beta_scaling_scan(params, args.betas, args.tol).rows
+    elif len(args.betas) != 1:
         raise ValueError("--lam needs exactly one --betas value")
-    beta = args.betas[0]
-    eta = eta_cluster(params, beta, args.tol)
-    value = functional_exact(params, eta, ThetaSpec(args.model, beta), args.lam)
-    scaled = value / math.sqrt(beta) if beta > 0 else math.inf
-    return headers, [[beta, args.lam, value, scaled]]
+    else:
+        beta = args.betas[0]
+        eta = eta_cluster(params, beta, args.tol)
+        value = functional_exact(params, eta, ThetaSpec(args.model, beta), args.lam)
+        rows = [BetaScanRow(beta, args.lam, value)]
+    headers = ["beta", "lambda", "P", "P_over_sqrt_beta"]
+    return headers, [[r.beta, r.lam, r.p_value, r.p_over_sqrt_beta] for r in rows]
 
 
 @_command("firstmo", "exact first-moment terms and ratios", _K, _D_INT, _N_LIST, *_OUTPUT)

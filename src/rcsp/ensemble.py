@@ -350,10 +350,8 @@ def partition_function(inst: NaeInstance, beta: float) -> GibbsSummary:
     """Exact Z(beta): violated clauses pay e^{-beta} each, so Z is the
     violation histogram summed against e^{-beta j}.  beta must be finite:
     BETA_INFINITY stands in for the zero-temperature limit."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
     hist = violation_histogram(inst)
     count = hist[0]
     if beta == 0:

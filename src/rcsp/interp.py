@@ -492,8 +492,7 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
     numbers than one step's product), and each row is summed exactly as a
     lattice of its own would sum it.  A member that fails gets its error in
     errors under its index and nan as its value; its row turns nan, which
-    later steps carry without a warning.  Members past the first failure
-    may be skipped.
+    later steps carry without a warning.
     """
     encoded, plans, groups, first_of, twins = {}, [], {}, {}, {}
     for i, (laws, lam) in enumerate(members):
@@ -524,8 +523,6 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
         size = min(len(enc) for _, enc, _ in plans[group[0]][2])
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            if errors and chunk[0] > min(errors):
-                break
             lams, bases, steps = zip(*(plans[i] for i in chunk))
             lams = np.array(lams)
             state = _LatticeState(len(chunk))
@@ -775,7 +772,6 @@ def literal_invariance_check(
     eta: AtomicMeasure | None = None,
     n_random: int = 10,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> LiteralInvarianceResult:
     """Functional invariance across literal choices for a symmetric eta.
 
@@ -789,20 +785,17 @@ def literal_invariance_check(
     holds (at k = 4 they often do), and then SupportBlowupError is raised.
     """
     if eta is None:
-        eta = eta_cluster(params, beta, tol)
+        eta = eta_cluster(params, beta)
     k = params.k
     n_laws = int(math.ceil(params.d))
-    calls = [
-        (eta, ThetaSpec("nae", beta, lits), lam, None)
-        for lits in itertools.product((0, 1), repeat=k)
-    ]
-    spec = ThetaSpec("nae", beta)
+    assignments = [(lits, [lits] * n_laws) for lits in itertools.product((0, 1), repeat=k)]
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         lits0 = tuple(int(b) for b in rng.integers(0, 2, size=k))
         per = [tuple(int(b) for b in rng.integers(0, 2, size=k)) for _ in range(n_laws)]
-        calls.append((eta, spec, lam, (lits0, per)))
-    values = _functionals(params, calls)
+        assignments.append((lits0, per))
+    spec = ThetaSpec("nae", beta)
+    values = _functionals(params, [(eta, spec, lam, lits) for lits in assignments])
     dev = max(values) - min(values)
     return LiteralInvarianceResult(passed=dev < 1e-10, max_deviation=dev, values=tuple(values))
 
@@ -812,7 +805,11 @@ class BetaScanRow:
     beta: float
     lam: float
     p_value: float
-    p_over_sqrt_beta: float
+
+    @property
+    def p_over_sqrt_beta(self) -> float:
+        """P / sqrt(beta), or inf at beta = 0."""
+        return self.p_value / math.sqrt(self.beta) if self.beta > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -841,17 +838,10 @@ def beta_scaling_scan(
 
     def calls():
         for beta in betas:
-            if beta < 0:
-                raise ValueError("beta must be >= 0")
+            eta = eta_cluster(params, beta, tol)
             lams.append(min(beta**-0.5, 0.99) if beta > 0 else 0.99)
-            yield eta_cluster(params, beta, tol), ThetaSpec("coloring", beta), lams[-1], None
+            yield eta, ThetaSpec("coloring", beta), lams[-1], None
 
     values = _functionals(params, calls())
-    rows = tuple(
-        BetaScanRow(
-            beta=beta, lam=lam, p_value=p,
-            p_over_sqrt_beta=p / math.sqrt(beta) if beta > 0 else math.inf,
-        )
-        for beta, lam, p in zip(betas, lams, values)
-    )
+    rows = tuple(BetaScanRow(*row) for row in zip(betas, lams, values))
     return BetaScanResult(rows=rows, phi_star=phi_star(params, tol))

@@ -103,7 +103,7 @@ def _dphi_dd(k: int, x, ctx=mpmath):
 def phi_star(params: ModelParams, tol: float = 1e-12) -> float:
     """phi evaluated at the solved BP fixed point.
 
-    Runs bare bisection (check=False), which dense degree scans rely on.
+    Runs bare bisection (check=False); d_star's search calls it per probe.
     """
     return phi(params, solve_fixed_point(params, tol, check=False).x)
 

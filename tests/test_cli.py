@@ -105,6 +105,22 @@ def test_interp_lam_needs_one_beta(capsys):
     assert "exactly one" in err
 
 
+BAD_BETA = (
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "16,-1"], "-1.0"),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "-1", "--lam", "0.5"], "-1.0"),
+    (["z", "{inst}", "--beta", "-1"], "-1.0"),
+    (["z", "{inst}", "--beta", "nan"], "nan"),
+    (["z", "{inst}", "--beta", "inf"], "inf"),
+)
+
+
+@pytest.mark.parametrize("argv, shown", BAD_BETA, ids=[" ".join(c[0]) for c in BAD_BETA])
+def test_bad_beta_has_one_message(capsys, inst_path, argv, shown):
+    code, out, err = run(capsys, *(a.format(inst=inst_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"rcsp: invalid input: beta must be >= 0 and finite, got {shown}\n"
+
+
 def test_interp_scan_rows(capsys):
     code, out, _ = run(capsys, "interp", "--k", "3", "--d", "7.4", "--betas", "1,4")
     assert code == 0
@@ -383,11 +399,13 @@ ENDS_CLEANLY = (
     # lattice state probabilities underflow float64
     (["interp", "--k", "4", "--d", "20", "--betas", "16,16384", "--model", "coloring"], 2),
     (["interp", "--k", "4", "--d", "20", "--betas", "65536", "--lam", "0.00390625"], 2),
-    # a non-finite beta is bad input, on the --lam path and in a scan
+    # a negative or non-finite beta is bad input, on the --lam path and in a scan
     (["interp", "--k", "3", "--d", "7.4", "--betas", "inf", "--lam", "0.5"], 1),
     (["interp", "--k", "3", "--d", "7.4", "--betas", "nan", "--lam", "0.5"], 1),
     (["interp", "--k", "3", "--d", "7.4", "--betas", "16,inf"], 1),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "16,-1"], 1),
     (["certify", "--digits", "1001"], 1),
+    (["z", "{inst}", "--beta", "-1"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),
     (CONCENTRATE + ["--beta", "nan"], 1),

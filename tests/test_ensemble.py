@@ -269,7 +269,7 @@ def test_partition_function_properties():
     assert frozen.logZ == pytest.approx(math.log(count), abs=1e-9)
     assert frozen.solution_count == count
     for beta in (-1.0, math.nan, math.inf):  # at inf the 0 * inf term is nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beta must be >= 0 and finite"):
             partition_function(inst, beta)
 
 

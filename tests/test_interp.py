@@ -13,6 +13,7 @@ from rcsp import interp
 from rcsp.bp import BracketError, ModelParams
 from rcsp.interp import (
     AtomicMeasure,
+    BetaScanRow,
     ClauseMessageLaw,
     SupportBlowupError,
     ThetaSpec,
@@ -506,6 +507,26 @@ def test_batch_raises_the_loops_first_error():
         literal_invariance_check(ModelParams(4, 6.5), 2.0, 0.5, eta=ASYM, n_random=2, seed=0)
 
 
+def test_scan_rejects_a_bad_beta_like_the_measure():
+    # the scan's beta check is eta_cluster's, with its one message
+    with pytest.raises(ValueError) as exc:
+        beta_scaling_scan(ModelParams(3, 7.4), [16.0, -1.0])
+    assert str(exc.value) == "beta must be >= 0 and finite, got -1.0"
+
+
+def test_batch_raises_the_lowest_members_budget_error(monkeypatch):
+    # beta = 256 alone needs 377 states x 8 entries, beta = 16 alone 231 x 10;
+    # every beta runs, and the lowest failing member's error is raised
+    monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", 2000)
+    params = ModelParams(4, 22)
+    with pytest.raises(SupportBlowupError) as exc:
+        beta_scaling_scan(params, [256.0, 16.0])
+    assert str(exc.value) == "product of 377 states and 8 law entries exceeds 2000"
+    with pytest.raises(SupportBlowupError) as exc:
+        beta_scaling_scan(params, [16.0, 64.0, 256.0])
+    assert str(exc.value) == "product of 231 states and 10 law entries exceeds 2000"
+
+
 def test_functional_underflow_raises():
     # the tilted states underflow float64: the lattice used to drop them and
     # read 33.62 where the uncompressed product gives 44.02
@@ -587,6 +608,11 @@ def test_beta_scan_rows():
         )
     with pytest.raises(ValueError):
         beta_scaling_scan(ModelParams(3, 7.4), [-1.0])
+
+
+def test_beta_scan_row_scales_p():
+    assert BetaScanRow(16.0, 0.25, -0.4).p_over_sqrt_beta == -0.1
+    assert BetaScanRow(0.0, 0.99, math.log(2.0)).p_over_sqrt_beta == math.inf
 
 
 @st.composite
