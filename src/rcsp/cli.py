@@ -11,8 +11,8 @@ Output is CSV by default (one header line, one row per record) or JSON with
 round-trip exactly; exact rationals are printed as p/q.  A fixed invocation,
 seed included, always produces byte-identical output.  Exit codes: 0 on
 success, 1 when flags or inputs fail validation, 2 when a computation gives
-up (no bracket, support blowup, retry exhaustion, a solver failing its own
-check).
+up (no bracket, support blowup, retry exhaustion, a search past its node
+budget, a solver failing its own check).
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ cache-sized blocks in Gray order, by contiguous adds and subtractions of
 precomputed pattern sums; doubled, their zeros give the solution count and
 their histogram gives Z(beta) at any temperature.
 
+Satisfiability alone needs no count: is_satisfiable decides it by a
+complete depth-first search with x_0 pinned and unit propagation, bounded
+by a node budget instead of by n, and sat_sweep asks it.
+
 Seeding contract: every multi-trial operation derives the trial's generator
 from SeedSequence(master_seed, spawn_key=(...counters...)), so any single
 trial can be reproduced in isolation.
@@ -30,12 +34,14 @@ __all__ = [
     "SweepPoint",
     "ConcentrationStat",
     "RetryExhaustedError",
+    "SearchBudgetError",
     "InstanceFormatError",
     "is_simple",
     "check_size",
     "sample_instance",
     "count_solutions",
     "count_solutions_dfs",
+    "is_satisfiable",
     "violation_histogram",
     "partition_function",
     "clause_resample_sensitivity",
@@ -50,12 +56,22 @@ TENSOR_VARS_LIMIT = 30
 CHUNK_VARS = 16
 RESAMPLE_VARS_LIMIT = 24
 BETA_INFINITY = 700.0
+# Branches is_satisfiable may take on one instance.  In sweeps of 20 seeded
+# coloring instances per point, the most any instance took was 5,734 at
+# k = 3, d = 5..8, n <= 120; 171,342 at k = 3, d = 7, n = 180; and 241,460
+# at k = 4, d = 20, n = 80.  The budget is about twice the largest, and at
+# about 0.12 ms per node there a search gives up within about a minute.
+SEARCH_NODE_BUDGET = 500_000
 
 MODELS = ("nae", "coloring")
 
 
 class RetryExhaustedError(RuntimeError):
     """No simple instance found within the retry budget."""
+
+
+class SearchBudgetError(RuntimeError):
+    """The decision search used up SEARCH_NODE_BUDGET without an answer."""
 
 
 class InstanceFormatError(ValueError):
@@ -335,15 +351,125 @@ def count_solutions_dfs(inst: NaeInstance) -> int:
     return recurse(0)
 
 
+def is_satisfiable(inst: NaeInstance) -> bool:
+    """True when some assignment violates no clause, by a complete search.
+
+    Clauses are read through their violating patterns: one that repeats a
+    variable with clashing literals has none and is dropped, other repeats
+    merge, and a clause left with one variable is always violated.  x_0 is
+    pinned to 0, since a global flip keeps every clause's status.  When all
+    but one variable of an unsatisfied clause are assigned and their
+    literal-adjusted values agree, the last is forced to the other value.
+    Otherwise the search branches on the free variable in the most partly
+    assigned clauses (the lowest index on ties), trying first the value most
+    of them need.  Each branch taken counts one node; past
+    SEARCH_NODE_BUDGET it raises SearchBudgetError.
+    """
+    clauses = []  # (variable, literal) over each clause's distinct variables
+    for sides in _clause_pin_patterns(inst):
+        if sides:
+            vars_, bits = sides[0]  # the side pinning x_v = L
+            if len(vars_) == 1:
+                return False
+            clauses.append(tuple(zip(vars_, bits)))
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
+    for c, cl in enumerate(clauses):
+        for v, b in cl:
+            occ[v].append((c, b))
+    value = [-1] * inst.n
+    free = [len(cl) for cl in clauses]
+    seen = [[0, 0] for _ in clauses]  # assigned slots whose x_v ^ L is 0, 1
+    trail: list[int] = []
+
+    def assign(v: int, bit: int) -> bool:
+        """Set x_v = bit and everything it forces; False on a violated clause."""
+        queue = [(v, bit)]
+        while queue:
+            v, bit = queue.pop()
+            if value[v] >= 0:
+                if value[v] != bit:
+                    return False
+                continue
+            value[v] = bit
+            trail.append(v)
+            for c, b in occ[v]:
+                free[c] -= 1
+                seen[c][bit ^ b] += 1
+            for c, _ in occ[v]:
+                zero, one = seen[c]
+                if zero and one:
+                    continue
+                if not free[c]:
+                    return False
+                if free[c] == 1:
+                    queue.extend((u, ub ^ (zero > 0)) for u, ub in clauses[c] if value[u] < 0)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v = trail.pop()
+            bit, value[v] = value[v], -1
+            for c, b in occ[v]:
+                free[c] += 1
+                seen[c][bit ^ b] -= 1
+
+    def branch() -> tuple[int, int]:
+        """The free variable in the most partly assigned clauses, and the
+        value most of them need; (-1, 0) when every variable is set."""
+        best, most, vote = -1, -1, 0
+        for v, slots in enumerate(occ):
+            if value[v] >= 0:
+                continue
+            partly = need = 0
+            for c, b in slots:
+                zero, one = seen[c]
+                if (zero > 0) != (one > 0):
+                    partly += 1
+                    need += 1 if b ^ (zero > 0) else -1
+            if partly > most:
+                best, most, vote = v, partly, need
+        return best, int(vote > 0)
+
+    nodes = 0
+    stack: list[tuple[int, int, int]] = []  # (trail mark, variable, other value)
+    ok = assign(0, 0)
+    while True:
+        if ok:
+            v, bit = branch()
+            if v < 0:
+                return True
+            stack.append((len(trail), v, 1 - bit))
+        elif stack:
+            mark, v, bit = stack.pop()
+            undo(mark)
+        else:
+            return False
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise SearchBudgetError(
+                f"satisfiability search gave up after {SEARCH_NODE_BUDGET} nodes "
+                f"at n={inst.n} k={inst.k} d={inst.d}"
+            )
+        ok = assign(v, bit)
+
+
 def violation_histogram(inst: NaeInstance) -> list[int]:
     """hist[j] = number of assignments violating exactly j clauses.  The
-    blocks are bincounted into one doubled accumulator; none grows with 2^n."""
+    blocks are bincounted into one doubled accumulator; none grows with 2^n.
+    A uint8 block (m < 256) of even length is bincounted two entries at a
+    time through its uint16 view, into a table of value pairs; the table's
+    two marginals sum to the histogram in either byte order."""
     if inst.n > TENSOR_VARS_LIMIT:
         raise ValueError(f"histogram capped at n <= {TENSOR_VARS_LIMIT}, got {inst.n}")
-    hist = np.zeros(inst.m + 1, dtype=np.int64)
+    paired = inst.m < 256 and inst.n > 1
+    acc = np.zeros(1 << 16 if paired else inst.m + 1, dtype=np.int64)
     for block in _blocks(inst):
-        hist += np.bincount(block, minlength=inst.m + 1)
-    return [2 * int(c) for c in hist]
+        counts = np.bincount(block.view(np.uint16) if paired else block)
+        acc[: counts.size] += counts
+    if paired:
+        table = acc.reshape(256, 256)
+        acc = table.sum(axis=0) + table.sum(axis=1)
+    return [2 * int(c) for c in acc[: inst.m + 1]]
 
 
 def partition_function(inst: NaeInstance, beta: float) -> GibbsSummary:
@@ -434,7 +560,11 @@ def sat_sweep(
     k: int, n: int, d_list, trials: int, seed, model: str = "nae"
 ) -> list[SweepPoint]:
     """Fraction of seeded instances with at least one solution, per degree.
-    Trial t at degree position i uses spawn_key=(i, t)."""
+
+    Each instance is decided by is_satisfiable, not counted, so n has no cap;
+    an instance past the search's node budget raises SearchBudgetError.
+    Trial t at degree position i uses spawn_key=(i, t).
+    """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     points = []
@@ -445,7 +575,7 @@ def sat_sweep(
             inst = sample_instance(
                 n, k, d, np.random.SeedSequence(seed, spawn_key=(i, t)), model=model
             )
-            if count_solutions(inst) >= 1:
+            if is_satisfiable(inst):
                 hits += 1
         points.append(SweepPoint(d=d, trials=trials, sat_fraction=hits / trials))
     return points

@@ -60,6 +60,7 @@ lattice read 33.62 where the uncompressed product gives 44.02).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import ModelParams, solve_fixed_point
-from .thresholds import phi_star
+from .thresholds import phi
 
 __all__ = [
     "AtomicMeasure",
@@ -256,6 +257,12 @@ def eta_cluster(params: ModelParams, beta: float, tol: float = 1e-12) -> AtomicM
     floats) the measure degenerates to a point mass at 1/2.  beta must be
     finite.
     """
+    return _cluster_measure(beta, lambda: solve_fixed_point(params, tol, check=False).x)
+
+
+def _cluster_measure(beta: float, fixed_point) -> AtomicMeasure:
+    """eta_cluster, with x = fixed_point() called only when the measure
+    needs it."""
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
     lhalf = -math.log(2.0)
@@ -266,7 +273,7 @@ def eta_cluster(params: ModelParams, beta: float, tol: float = 1e-12) -> AtomicM
         return AtomicMeasure(
             atoms=((0.5, 1.0),), symmetric=True, log_pairs=((lhalf, lhalf),)
         )
-    x = solve_fixed_point(params, tol, check=False).x
+    x = fixed_point()
     return AtomicMeasure(
         atoms=((c, x), (math.exp(lc_low), x), (0.5, 1.0 - 2.0 * x)),
         symmetric=True,
@@ -832,16 +839,18 @@ def beta_scaling_scan(
     For beta <= 1 the binding lam = beta^(-1/2) would leave (0,1), so lam
     clamps to 0.99 there; the functional value at small beta is insensitive
     to lam (it tends to ln 2 regardless).  P / sqrt(beta) tends to the
-    free-energy value phi_star from above as beta grows.
+    free-energy value phi_star from above as beta grows.  The BP fixed
+    point is solved once per call and serves every beta and phi_star.
     """
     betas, lams = list(betas), []
+    x = functools.cache(lambda: solve_fixed_point(params, tol, check=False).x)
 
     def calls():
         for beta in betas:
-            eta = eta_cluster(params, beta, tol)
+            eta = _cluster_measure(beta, x)
             lams.append(min(beta**-0.5, 0.99) if beta > 0 else 0.99)
             yield eta, ThetaSpec("coloring", beta), lams[-1], None
 
     values = _functionals(params, calls())
     rows = tuple(BetaScanRow(*row) for row in zip(betas, lams, values))
-    return BetaScanResult(rows=rows, phi_star=phi_star(params, tol))
+    return BetaScanResult(rows=rows, phi_star=phi(params, x()))

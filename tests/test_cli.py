@@ -225,6 +225,21 @@ def test_sweep_matches_library(capsys):
         assert float(row["sat_fraction"]) == point.sat_fraction
 
 
+def test_sweep_search_budget_exit_2(capsys, monkeypatch):
+    from rcsp import ensemble
+
+    monkeypatch.setattr(ensemble, "SEARCH_NODE_BUDGET", 1)
+    with pytest.raises(ensemble.SearchBudgetError, match="gave up after 1 nodes"):
+        ensemble.is_satisfiable(sample_instance(24, 3, 4, 0, model="coloring"))
+    code, out, err = run(
+        capsys, "sweep", "--k", "3", "--n", "24", "--d", "4", "--trials", "1",
+        "--seed", "0", "--model", "coloring",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("rcsp: computation failed: satisfiability search gave up")
+    assert len(err.splitlines()) == 1
+
+
 def test_concentrate_matches_library(capsys):
     from rcsp.ensemble import concentration_experiment
 
@@ -405,6 +420,8 @@ ENDS_CLEANLY = (
     (["interp", "--k", "3", "--d", "7.4", "--betas", "16,inf"], 1),
     (["interp", "--k", "3", "--d", "7.4", "--betas", "16,-1"], 1),
     (["certify", "--digits", "1001"], 1),
+    # past the counting cap (n <= 34) the sweep decides instead of counting
+    (["sweep", "--k", "3", "--n", "60", "--d", "5,7", "--trials", "3", "--seed", "1"], 0),
     (["z", "{inst}", "--beta", "-1"], 1),
     (["z", "{inst}", "--beta", "nan"], 1),
     (["z", "{inst}", "--beta", "inf"], 1),

@@ -20,6 +20,7 @@ from rcsp.ensemble import (
     concentration_experiment,
     count_solutions,
     count_solutions_dfs,
+    is_satisfiable,
     is_simple,
     partition_function,
     read_instance,
@@ -226,6 +227,45 @@ def test_blocks_clashing_bits_and_uint16(monkeypatch):
     # m = 70000 needs uint32: in uint16 the counts wrapped to 4464 and 34924
     wider = sample_instance(2, 2, 70000, 1, model="coloring")
     assert violation_histogram(wider) == brute_histogram(wider)
+
+
+@st.composite
+def oracle_sized_instances(draw):
+    # the DFS oracle prunes only at full clauses, so its cost follows the
+    # solution count: d starts where the expected count 2^n (1 - 2^(1-k))^m
+    # falls to 2^6, and at 1 for n <= 6
+    model = draw(st.sampled_from(("nae", "coloring")))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 24))
+    d_lo = k * (n - 6) * math.log(2) / (n * -math.log1p(-(2.0 ** (1 - k))))
+    d = draw(st.integers(max(1, math.ceil(d_lo)), max(1, math.ceil(d_lo)) + 2 * k))
+    assume((n * d) % k == 0)
+    return sample_instance(n, k, d, draw(st.integers(0, 2**32 - 1)), model=model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=oracle_sized_instances())
+# repeated variables: clashing literals (never violated) beside equal ones
+# (always violated); an equal pair forcing the third variable, satisfiable
+# and not; and the m = 264 multigraph of the uint16 blocks
+@example(inst=NaeInstance(n=2, m=2, k=2, d=2, clauses=((0, 0), (1, 1)),
+                          literals=((0, 1), (0, 0)), model="nae"))
+@example(inst=NaeInstance(n=2, m=2, k=2, d=2, clauses=((0, 0), (1, 1)),
+                          literals=((0, 1), (1, 0)), model="nae"))
+@example(inst=NaeInstance(n=2, m=2, k=3, d=3, clauses=((0, 0, 1), (1, 1, 0)),
+                          literals=((0, 0, 0), (0, 0, 0)), model="coloring"))
+@example(inst=NaeInstance(n=2, m=2, k=3, d=3, clauses=((0, 0, 1), (1, 1, 0)),
+                          literals=((0, 0, 0), (1, 1, 0)), model="nae"))
+@example(inst=sample_instance(12, 2, 44, seed=3, model="coloring"))
+def test_decision_matches_counts(inst):
+    assert is_satisfiable(inst) == (count_solutions(inst) > 0) == (count_solutions_dfs(inst) > 0)
+
+
+def test_decision_past_the_count_cap():
+    # n = 60 is past COUNT_VARS_LIMIT; far below and far above d_star(3) =
+    # 6.74 the answers are not in doubt
+    assert all(is_satisfiable(sample_instance(60, 3, 4, s, model="coloring")) for s in range(3))
+    assert not any(is_satisfiable(sample_instance(60, 3, 9, s)) for s in range(3))
 
 
 @pytest.mark.parametrize("build", (violation_histogram, count_solutions))

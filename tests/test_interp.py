@@ -610,6 +610,22 @@ def test_beta_scan_rows():
         beta_scaling_scan(ModelParams(3, 7.4), [-1.0])
 
 
+def test_beta_scan_solves_the_fixed_point_once(monkeypatch):
+    # one solve serves every beta's measure and phi_star; the rows keep the
+    # per-beta measures' bytes (test_beta_scan_batch_matches_loop)
+    from rcsp.thresholds import phi_star
+
+    params = ModelParams(4, 22)
+    expected = phi_star(params).hex()
+    solves, solve = [], interp.solve_fixed_point
+    monkeypatch.setattr(
+        interp, "solve_fixed_point", lambda *a, **kw: solves.append(a) or solve(*a, **kw)
+    )
+    result = beta_scaling_scan(params, [16.0, 64.0, 256.0])
+    assert len(solves) == 1
+    assert result.phi_star.hex() == expected
+
+
 def test_beta_scan_row_scales_p():
     assert BetaScanRow(16.0, 0.25, -0.4).p_over_sqrt_beta == -0.1
     assert BetaScanRow(0.0, 0.99, math.log(2.0)).p_over_sqrt_beta == math.inf
