@@ -4,8 +4,9 @@ The recursion tracks x, the probability weight that a variable message is
 frozen to one color.  The clause update maps x to a message v, the variable
 update maps v back to x, and the composition has a unique fixed point on
 [1/2 - 2^-k, 1/2] whenever the degree lies in the supported window.  The
-solver certifies that window by endpoint sign checks and a grid bound on
-the derivative of the composed map.
+solver checks that window by endpoint signs and estimates the derivative of
+the composed map on a grid (an estimate, not a bound; the interval proofs
+are in certificates).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 # and three at k = 53, where bisection fails at the window's ends.
 MAX_K = 52
 
-# Points of the grid on which a checked solve estimates sup |psi'|.
+# Points of the grid on which sup |psi'| is estimated.
 DERIVATIVE_GRID = 1000
 
 
@@ -265,7 +266,7 @@ def solve_fixed_point(
                 f"fixed-point iteration disagrees with bisection by "
                 f"{iteration_gap:.3e} > 10*tol; uniqueness witness failed"
             )
-        max_derivative = contraction_certificate(params, DERIVATIVE_GRID)
+        max_derivative = contraction_certificate(params)
 
     return BpFixedPoint(
         x=x,
@@ -276,15 +277,13 @@ def solve_fixed_point(
     )
 
 
-def contraction_certificate(params: ModelParams, grid_size: int = 10_000) -> float:
+def contraction_certificate(params: ModelParams) -> float:
     """Grid estimate of sup |psi'| over [1/2 - 2^-k, 1/2].
 
-    Returns the maximum of |psi_derivative| over grid_size uniformly
+    Returns the maximum of |psi_derivative| over DERIVATIVE_GRID uniformly
     spaced points including both endpoints.  A value < 1 is evidence of
     contraction (a certificate estimate, not a proof).
     """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
     lo, hi = _domain(params.k)
-    xs = np.linspace(lo, hi, grid_size)
+    xs = np.linspace(lo, hi, DERIVATIVE_GRID)
     return float(np.max(np.abs(psi_derivative(params, xs))))

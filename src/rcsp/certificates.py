@@ -12,9 +12,10 @@ several elementary comparisons (a chained inequality, a cover of an interval
 by boxes, a monotone sequence); the reported computed/bound/margin always
 belong to the tightest comparison, and the notes field records the rest.
 
-certify_ceil_d_star proves a threshold ceiling by the same rule, on
-Krawczyk enclosures of the fixed point; _slope_enclosure, one of its claims,
-proves phi_star strictly decreasing along the fixed-point curve.
+certify_ceil_d_star proves a threshold ceiling by the same rule, on one
+Krawczyk step that encloses the fixed point over a degree box (a point
+degree is the box [d, d]); _slope_enclosure, one of its claims, proves
+phi_star strictly decreasing along the fixed-point curve.
 """
 
 from __future__ import annotations
@@ -371,15 +372,6 @@ def verify_all(precision_digits: int = DEFAULT_DIGITS) -> list[CertificateReport
     return [evaluate(cid, precision_digits) for cid in _REGISTRY]
 
 
-# Working precision of the threshold certificate's interval context.
-THRESHOLD_PREC_BITS = 80
-
-# Half-width of the Krawczyk box around the float fixed point.  The float
-# solve is accurate to about 1e-12, so the box holds the root with room to
-# spare, and psi' varies too little across it to stop K(X) from closing.
-KRAWCZYK_RADIUS = 1e-9
-
-
 @dataclass(frozen=True)
 class Enclosure:
     """One interval claim of a threshold certificate.
@@ -422,59 +414,67 @@ def _enclosure(claim: str, value, above=None, below=None) -> Enclosure:
     return Enclosure(claim, float(value.a), float(value.b), _status(value, above, below))
 
 
-def _krawczyk(iv, params: ModelParams, c: float, y: float, radius: float):
-    """(X, K(X)) for f(x) = psi(x) - x on X = c +- radius, or None unless
-    K(X) lies in X and X in [1/2 - 2^-k, 1/2].
+def _threshold_context(k: int) -> MPIntervalContext:
+    """The threshold certificate's interval context at clause size k.
 
-    K(X) = c - y f(c) + (1 - y f'(X))(X - c), with params.d a point or an
-    interval; K(X) in X proves a root in K(X) at every degree in params.d.
-    The float centre c and preconditioner y only steer the step.
+    The degree, about 2^k, scales the rounding error in powers like
+    v^(d - 1) by 2^k, while phi_star near d_star and its slope shrink about
+    as fast as 2^-k; 2k + 80 bits leave 80 to decide their signs.  (At a
+    fixed 80 bits the ceiling proof stops closing from k = 35.)
     """
-    center = iv.mpf(c)
-    box = center + iv.mpf([-radius, radius])
-    krawczyk = (
-        center
-        - y * (psi(params, center) - center)
-        + (1 - y * (psi_derivative(params, box) - 1)) * (box - center)
-    )
-    if not (krawczyk in box and box in iv.mpf(_domain(params.k))):
-        return None
-    return box, krawczyk
+    iv = MPIntervalContext()
+    iv.prec = 2 * k + 80
+    return iv
 
 
-def _float_center(k: int, d: float) -> tuple[float, float]:
-    """The float fixed point c at degree d and y = 1/(psi'(c) - 1)."""
-    point = ModelParams(k, d)
+def _krawczyk(iv, k: int, a, b):
+    """(params, c, X, K(X)) for f(x) = psi(x) - x over the degrees [a, b],
+    or None unless K(X) lies in X and X in [1/2 - 2^-k, 1/2].
+
+    c is the float fixed point at the midpoint degree and y = 1/(psi'(c) - 1);
+    both only steer the step.  X = c +- r with r = 1.5 |y f(c)| over [a, b]
+    (how far the curve moves across the degrees, with slack for rounding),
+    doubled up to twice.  K(X) = c - y f(c) + (1 - y f'(X))(X - c), and
+    K(X) in X proves a root in K(X) at every degree in [a, b].  A point
+    degree d is the box [d, d].
+    """
+    point = ModelParams(k, 0.5 * (a + b))
     c = solve_fixed_point(point, check=False).x
-    return c, 1 / (psi_derivative(point, c) - 1)
+    y = 1 / (psi_derivative(point, c) - 1)
+    params = ModelParams(k, iv.mpf([a, b]))
+    center = iv.mpf(c)
+    newton = y * (psi(params, center) - center)
+    radius = 1.5 * float(abs(newton).b)
+    for _ in range(3):
+        box = center + iv.mpf([-radius, radius])
+        krawczyk = center - newton + (1 - y * (psi_derivative(params, box) - 1)) * (box - center)
+        if krawczyk in box and box in iv.mpf(_domain(k)):
+            return params, center, box, krawczyk
+        radius *= 2
+    return None
 
 
 def _phi_star_enclosure(iv, k: int, d: int):
     """Enclosure of phi_star(k, d), or None when the Krawczyk step does not close.
 
-    The step runs on the box of half-width KRAWCZYK_RADIUS around the float
-    fixed point, and phi at the root lies in phi(c) + phi_x(X)(K(X) - c) by
-    the mean-value theorem.
+    phi at the root lies in phi(c) + phi_x(X)(K(X) - c) by the mean-value
+    theorem.
     """
-    c, y = _float_center(k, float(d))
-    params = ModelParams(k, iv.mpf(d))
-    step = _krawczyk(iv, params, c, y, KRAWCZYK_RADIUS)
+    step = _krawczyk(iv, k, d, d)
     if step is None:
         return None
-    box, krawczyk = step
-    return phi(params, iv.mpf(c), iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - c)
+    params, c, box, krawczyk = step
+    return phi(params, c, iv) + _dphi_dx(k, params.d, box, iv) * (krawczyk - c)
 
 
 def _slope_enclosure(iv, k: int, lo: float, hi: float):
     """(enclosure, boxes): a negative enclosure of dphi_star/dd over the
     degrees [lo, hi] from that many degree boxes, or None after 512 boxes.
 
-    Each box D gets a Krawczyk step around the float fixed point c at its
-    midpoint, with radius 1.5 |y (psi(D, c) - c)| (how far the curve moves
-    across D, with slack for rounding), doubled up to twice.  K(X) then
-    holds x(d) for every d in D, and dphi_star/dd = phi_d + phi_x psi_d /
-    (1 - psi') is bounded on D x K(X).  A box whose step does not close or
-    whose bound is not below zero is halved.
+    Each box D gets a Krawczyk step (_krawczyk), so K(X) holds x(d) for
+    every d in D, and dphi_star/dd = phi_d + phi_x psi_d / (1 - psi') is
+    bounded on D x K(X).  A box whose step does not close or whose bound
+    is not below zero is halved.
     """
     pending, proven, boxes = [(lo, hi)], [], 0
     while pending:
@@ -482,23 +482,16 @@ def _slope_enclosure(iv, k: int, lo: float, hi: float):
         if boxes > 512:
             return None, boxes - 1
         a, b = pending.pop()
-        mid = 0.5 * (a + b)
-        c, y = _float_center(k, mid)
-        params = ModelParams(k, iv.mpf([a, b]))
-        radius = 1.5 * float(abs(y * (psi(params, iv.mpf(c)) - c)).b)
-        for _ in range(3):
-            step = _krawczyk(iv, params, c, y, radius)
-            if step is not None:
-                break
-            radius *= 2
+        step = _krawczyk(iv, k, a, b)
         if step is not None:
-            x = step[1]
+            params, _, _, x = step
             slope = _dphi_dd(k, x, iv) + _dphi_dx(k, params.d, x, iv) * _dpsi_dd(
                 k, params.d, x, iv
             ) / (1 - psi_derivative(params, x))
             if slope < 0:
                 proven.append(slope)
                 continue
+        mid = 0.5 * (a + b)
         pending += [(mid, b), (a, mid)]
     return iv.mpf([min(s.a for s in proven), max(s.b for s in proven)]), boxes
 
@@ -508,20 +501,22 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
 
     d_star(k) is the largest zero of phi_star inside the degree window
     [d_lbd, d_ubd].  With X = [1/2 - 2^-k, 1/2], every claim is a bound on
-    an mpmath.iv enclosure at THRESHOLD_PREC_BITS bits:
+    an mpmath.iv enclosure at 2k + 80 bits (_threshold_context):
 
     (i) psi(x) - x is positive at x = 1/2 - 2^-k, negative at x = 1/2, and
         0 < psi' < 1 on [ceil - 1, d_ubd] x X, so the fixed point x(d)
         exists, is unique, and is differentiable in d there;
-    (ii) phi_star(ceil - 1) > 0 and (iii) phi_star(ceil) < 0, each on a
-        Krawczyk enclosure of the fixed point;
+    (ii) phi_star(ceil - 1) > 0 and (iii) phi_star(ceil) < 0, each on the
+        Krawczyk step (_krawczyk) over the point degree;
     (iv) dphi_star/dd = phi_d + phi_x psi_d / (1 - psi') < 0 along the
         fixed-point curve over [ceil, d_ubd] (_slope_enclosure: degree boxes,
-        each with a Krawczyk enclosure of the curve), so phi_star has no
-        zero in [ceil, d_ubd].
+        each with the same Krawczyk step), so phi_star has no zero in
+        [ceil, d_ubd].
 
-    Together they put the largest zero in (ceil - 1, ceil).  Kept outside
-    the registry because its claims depend on k and ceil.
+    Together they put the largest zero in (ceil - 1, ceil).  With the true
+    ceiling it passes at every k = 6..52; at k = 3 the degrees leave the
+    window, and at k = 4 and 5 claim (i)'s psi' bound stays open.  Kept
+    outside the registry because its claims depend on k and ceil.
     """
     window = degree_window(k)
     if int(ceil) != ceil:
@@ -536,8 +531,7 @@ def certify_ceil_d_star(k: int, ceil: int) -> ThresholdCertificate:
             notes=f"inconclusive: degrees {ceil - 1} and {ceil} are not both inside "
             f"the window [{window.d_lbd}, {window.d_ubd}]",
         )
-    iv = MPIntervalContext()
-    iv.prec = THRESHOLD_PREC_BITS
+    iv = _threshold_context(k)
     lo, hi = _domain(k)
     xs = iv.mpf([lo, hi])
     box = ModelParams(k, iv.mpf([ceil - 1, window.d_ubd]))

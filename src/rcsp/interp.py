@@ -702,10 +702,13 @@ def functional_monte_carlo(
 
     Samples atom draws for the d-fold clause product and the standalone
     clause, averages the lam-powers, and propagates the two sample
-    standard errors through the logs (delta method).  Integer d only.
+    standard errors through the logs (delta method).  Integer d and at
+    least two samples only: one sample gives no standard error.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2 for a standard error, got {n_samples}")
     k, d = params.k, int(params.d)
     if d != params.d:
         raise ValueError("monte carlo path requires integer d")
@@ -752,8 +755,8 @@ def functional_monte_carlo(
 
     mean1 = sum1 / n_samples
     mean0 = sum0 / n_samples
-    var1 = max(sum1_sq / n_samples - mean1**2, 0.0) / max(n_samples - 1, 1)
-    var0 = max(sum0_sq / n_samples - mean0**2, 0.0) / max(n_samples - 1, 1)
+    var1 = max(sum1_sq / n_samples - mean1**2, 0.0) / (n_samples - 1)
+    var0 = max(sum0_sq / n_samples - mean0**2, 0.0) / (n_samples - 1)
     se1 = math.sqrt(var1)
     se0 = math.sqrt(var0)
     alpha = params.alpha

@@ -120,7 +120,7 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
 
     phi_star is strictly decreasing on the window (the curve-box slope proof
     certificates._slope_enclosure; test_slope_proof_closes_on_every_window
-    runs it for k = 3..47).  After the window-end signs, a binary search over
+    runs it for k = 3..52).  After the window-end signs, a binary search over
     the SCAN_STEPS-cell degree grid finds its one sign change, and that cell
     is bisected to tol or to adjacent floats, whichever comes first.
     """

@@ -162,8 +162,6 @@ def test_contraction_on_window():
         w = degree_window(k)
         for d in (w.d_lbd, 0.5 * (w.d_lbd + w.d_ubd), w.d_ubd):
             assert contraction_certificate(ModelParams(k, d)) < 1.0
-    with pytest.raises(ValueError):
-        contraction_certificate(ModelParams(3, 7.0), grid_size=10)
 
 
 @st.composite

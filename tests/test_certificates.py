@@ -200,41 +200,59 @@ def test_threshold_certificate_proves_ceiling(k, ceil):
 def test_slope_proof_closes_on_every_window():
     # d_star's binary search rests on this: phi_star strictly decreasing on
     # the whole window, for every k it brackets
-    iv = MPIntervalContext()
-    iv.prec = certificates.THRESHOLD_PREC_BITS
     start = time.perf_counter()
     boxes = {}
-    for k in range(3, 48):
+    for k in range(3, 53):
         window = degree_window(k)
+        iv = certificates._threshold_context(k)
         slope, boxes[k] = certificates._slope_enclosure(iv, k, window.d_lbd, window.d_ubd)
         assert slope is not None, f"k={k}: open after {boxes[k]} boxes"
         assert slope < 0 and slope.b < 0
     assert time.perf_counter() - start < 5
     assert boxes[3] > 1 and boxes[4] > 1
-    assert all(boxes[k] == 1 for k in range(6, 48))
+    assert all(boxes[k] == 1 for k in range(6, 53))
 
 
 def test_slope_proof_open_when_the_budget_runs_out(monkeypatch):
     # a Krawczyk step that never closes leaves the claim open, not proven
     monkeypatch.setattr(certificates, "_krawczyk", lambda *args: None)
-    iv = MPIntervalContext()
-    iv.prec = certificates.THRESHOLD_PREC_BITS
+    iv = certificates._threshold_context(13)
     assert certificates._slope_enclosure(iv, 13, 36901, 36902) == (None, 512)
     rep = certify_ceil_d_star(13, 36901)
     assert rep.inconclusive and not rep.passed
     assert [e.status for e in rep.enclosures].count("open") == 3
 
 
-@pytest.mark.parametrize(
-    "k, ceil",
-    ((6, 130), (7, 307), (8, 705), (9, 1592), (10, 3543), (11, 7802), (12, 17028), (14, 79488)),
-)
+# ceil(d_star(k)) for k = 6..52, from an independent 80-digit solve
+# (perfbench/reference.py's d_star at 80 digits, ceiling taken inside
+# workdps: a float, or mpmath.ceil at default precision, is wrong from k = 50)
+CEIL_D_STAR = {
+    6: 130, 7: 307, 8: 705, 9: 1592, 10: 3543, 11: 7802, 12: 17028, 13: 36901,
+    14: 79488, 15: 170339, 16: 363400, 17: 772234, 18: 1635329, 19: 3452372,
+    20: 7268164, 21: 15263155, 22: 31979957, 23: 66867197, 24: 139548946,
+    25: 290726985, 26: 604712143, 27: 1255940621, 28: 2604913897, 29: 5395893088,
+    30: 11163916752, 31: 23072094639, 32: 47632711531, 33: 98242467551,
+    34: 202439024064, 35: 416786226034, 36: 857388807863, 37: 1762410327296,
+    38: 3620086077710, 39: 7430703001639, 40: 15242467695693, 41: 31247058776194,
+    42: 64018364321984, 43: 131085222183134, 44: 268267431444580,
+    45: 548728837045757, 46: 1121845622404686, 47: 2292467141435690,
+    48: 4682486076123991, 49: 9560075738753178, 50: 19510358650516718,
+    51: 39801131647054135, 52: 81163091986149639,
+}
+
+
+@pytest.mark.parametrize("k, ceil", CEIL_D_STAR.items())
 def test_threshold_certificate_small_k(k, ceil):
     # the slope bound along the fixed-point curve closes where one box over
-    # all of [1/2 - 2^-k, 1/2] stayed open (k = 6, 7)
+    # all of [1/2 - 2^-k, 1/2] stayed open (k = 6, 7); from k = 35 on it
+    # closes only because the interval precision grows with k.  Either
+    # neighbour of the ceiling is refuted outright.
     rep = certify_ceil_d_star(k, ceil)
     assert rep.passed and not rep.inconclusive, rep.notes
     assert [e.status for e in rep.enclosures] == ["proven"] * 6
+    for wrong in (ceil - 1, ceil + 1):
+        rep = certify_ceil_d_star(k, wrong)
+        assert not rep.passed and not rep.inconclusive, (wrong, rep.notes)
 
 
 @pytest.mark.parametrize("k, ceil", ((4, 20), (5, 53)))
@@ -266,8 +284,12 @@ def test_threshold_certificate_inconclusive_cases(monkeypatch):
         certify_ceil_d_star(2, 5)
     with pytest.raises(ValueError):
         certify_ceil_d_star(13, 36901.5)
-    # a Krawczyk box narrower than the float centre's error cannot close
-    monkeypatch.setattr(certificates, "KRAWCZYK_RADIUS", 1e-18)
+    # a Krawczyk step that fails on the point degrees leaves claims (ii)
+    # and (iii) open on [-inf, inf]; the degree boxes of claim (iv) still close
+    step = certificates._krawczyk
+    monkeypatch.setattr(
+        certificates, "_krawczyk", lambda iv, k, a, b: None if a == b else step(iv, k, a, b)
+    )
     rep = certify_ceil_d_star(13, 36901)
     assert rep.inconclusive and not rep.passed
     open_claims = [e for e in rep.enclosures if e.status == "open"]

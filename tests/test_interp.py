@@ -596,6 +596,15 @@ def test_monte_carlo_requires_integer_degree():
         functional_monte_carlo(ModelParams(3, 7.4), eta, ThetaSpec("nae", 1.0), 0.5, 100, 0)
 
 
+@pytest.mark.parametrize("n_samples", (0, -3, 1))
+def test_monte_carlo_needs_two_samples(n_samples):
+    # one sample has no standard error, and fewer have no mean
+    params = ModelParams(3, 7.0)
+    eta = eta_cluster(params, 1.0)
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        functional_monte_carlo(params, eta, ThetaSpec("nae", 1.0), 0.5, n_samples, 0)
+
+
 def test_beta_scan_rows():
     result = beta_scaling_scan(ModelParams(3, 7.4), [0.25, 4.0])
     lams = [row.lam for row in result.rows]
