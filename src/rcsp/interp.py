@@ -28,24 +28,32 @@ vectorised log and expm1 can differ from math.log and math.expm1 in the
 last bit (on an AVX-512 host, for 1-4% of inputs).
 
 One product step adds each law entry's encoded step to every state key.
-The keys are sorted and unique, so each entry yields a sorted run of new
-keys.  The runs are laid out entry by entry, in descending order of the
-entry's step (ties in entry order), and merged by one stable sort; equal
-keys are then summed with np.bincount in merged order.  Within one merged
-key the terms arrive in ascending order of their source state, and for one
+The keys are sorted and unique, and the entries come in descending order of
+their step (ties in entry order).  The step works through the new keys'
+range in tiles cut at every stride-th state key moved by the first entry's
+step.  For each entry the source states landing in one tile form one
+slice, which a single np.searchsorted finds for every tile and entry, so a
+tile holds about TILE_CANDIDATES (state, entry) candidates and no array
+holds states x entries numbers.  A tile lays its candidates out entry by
+entry, each entry's source states ascending; a sort of the tile's keys
+numbers its distinct keys, np.bincount sums the terms of each key in that
+layout order, and the tiles are concatenated in key order.  A key's terms
+all land in one tile, and within it they arrive in entry order, which is
+ascending order of their source state (the steps descend), and for one
 source state in entry order.  That is the order in which the state-major
-product (state i, then entry j), reduced by np.unique and np.bincount,
-adds them, so both give the same probabilities to the last bit.  Neither
-np.add.reduceat (pairwise summation) nor pre-merging entries that share a
-step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that order.
+product (state i, then entry j), reduced by np.unique and np.bincount, adds
+them, so both give the same probabilities to the last bit at every tile
+size.  Neither np.add.reduceat (pairwise summation) nor pre-merging entries
+that share a step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that
+order.
 
-The merged keys, the sort permutation and the group ids depend only on the
-sorted vector of encoded steps, never on the probabilities.  So evaluations
+The tiles, the merged keys and the group ids depend only on the sorted
+vector of encoded steps, never on the probabilities.  So evaluations
 whose sorted steps agree at every product step (the literal classes of
 literal_invariance_check, nearby betas of one scan) share that plan: the
 keys are built and sorted once per step, and each member's probability
-row is multiplied, permuted and summed by np.bincount exactly as a lattice
-of its own would do it, so every value is the same float.  Members whose
+row is multiplied and summed by np.bincount exactly as a lattice of its
+own would do it, so every value is the same float.  Members whose
 tilted, sorted laws agree byte for byte at every step (and in lam and the
 basis magnitudes) are twins and share one row, which the same numpy calls
 on the same bytes fill alike.  L and ~L share their clause laws, so they
@@ -87,8 +95,12 @@ __all__ = [
     "beta_scaling_scan",
 ]
 
-# Largest states x law entries product one lattice step builds before merging.
+# Largest states x law entries product one lattice step sums: a bound on its
+# work, as its memory grows with the states and TILE_CANDIDATES only.
 MAX_PRODUCT_STATES = 10_000_000
+# (state, law entry) candidates one tile of a product step sorts and sums;
+# the fastest of 2^14..2^17 on the k = 4 scans and literal-invariance check.
+TILE_CANDIDATES = 65_536
 MAX_REFERENCE_TUPLES = 2_000_000
 MAX_ATOMS = 5
 # Smallest normal float64: a lattice state probability below it has lost bits.
@@ -414,9 +426,9 @@ class _LatticeState:
     constant base sum_r 63*2^(7r) makes every 7-bit field the digit
     m_r + 63 in [1, 125], so distinct count vectors give distinct keys and
     decoding is field extraction.  keys stay sorted and unique, and step
-    merges its per-entry sorted runs in the summation order the module
-    docstring derives, after checking the product against
-    MAX_PRODUCT_STATES and before allocating it.
+    sums tile by tile in the order the module docstring derives, after
+    checking the product against MAX_PRODUCT_STATES and before allocating
+    anything.
     """
 
     def __init__(self, n_rows: int) -> None:
@@ -434,37 +446,71 @@ class _LatticeState:
                 f"product of {len(self.keys)} states and {len(enc)} law entries "
                 f"exceeds {MAX_PRODUCT_STATES}"
             )
-        # one sorted run per law entry; the stable sort merges the runs
-        new_keys = (enc[:, None] + self.keys[None, :]).ravel()
-        perm = np.argsort(new_keys, kind="stable")
-        sorted_keys = new_keys[perm]
-        del new_keys
-        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-        gid = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(sorted_keys)))
-        self.keys = sorted_keys[starts]
-        del sorted_keys
+        keys, steps, q_rows = self.keys, enc.tolist(), [q.tolist() for q in qs]
+        # Tiles of new keys, cut at every stride-th state key moved by the
+        # first entry's step, so that entry puts stride states in each tile
+        # and no tile is empty; bounds[t][e] is the first state whose
+        # key + enc[e] falls in tile t.
+        n_tiles = -(-len(keys) * len(enc) // TILE_CANDIDATES)
+        stride = -(-len(keys) // n_tiles)
+        cuts = np.searchsorted(keys, keys[stride::stride, None] + (enc[0] - enc)).tolist()
+        bounds = [[0] * len(enc), *cuts, [len(keys)] * len(enc)]
+        new_keys, new_probs = [], [[] for _ in qs]
+        for lo, hi in zip(bounds, bounds[1:]):
+            # the tile's candidates entry by entry, each entry's source states
+            # ascending: runs holds each entry's states and place in the tile
+            ends = list(itertools.accumulate(b - a for a, b in zip(lo, hi)))
+            runs = list(zip(map(slice, lo, hi), map(slice, [0, *ends], ends)))
+            tile_keys = np.empty(ends[-1], dtype=np.int64)
+            for (src, dst), step in zip(runs, steps):
+                np.add(keys[src], step, out=tile_keys[dst])
+            # gid: each candidate's rank among the tile's distinct keys; any
+            # sort gives the same ranks, and timsort merges the runs fastest
+            perm = np.argsort(tile_keys, kind="stable")
+            sorted_keys = tile_keys[perm]
+            starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+            new_keys.append(sorted_keys[starts])
+            gid = np.empty(len(perm), dtype=np.intp)
+            gid[perm] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(perm)))
+            del tile_keys, perm, sorted_keys
+            weights = np.empty(len(gid))
+            for row, q, old in zip(new_probs, q_rows, self.probs):
+                for (src, dst), qe in zip(runs, q):
+                    np.multiply(old[src], qe, out=weights[dst])
+                row.append(np.bincount(gid, weights=weights, minlength=len(starts)))
+        self.keys = np.concatenate(new_keys)
         # each old row is freed as its new row lands
-        for j, (q, old) in enumerate(zip(qs, self.probs)):
-            self.probs[j] = np.bincount(
-                gid, weights=(q[:, None] * old[None, :]).ravel()[perm], minlength=len(starts)
-            )
+        for j, row in enumerate(new_probs):
+            self.probs[j] = np.concatenate(row)
+            row.clear()
         self.steps_taken += 1
 
     def log_moments(self, lams, bases) -> np.ndarray:
         """ln E[(1 + e^D)^lam] per row, with D the accumulated sum of basis
-        steps; row j has tilt lams[j] and basis magnitudes bases[j]."""
-        shifted = (self.keys + np.int64(_KEY_BASE)).astype(np.uint64)
-        # fields past the bases' directions always decode to 0
-        coords = np.zeros((len(self.keys), _KEY_DIMS))
-        for r in range(max(map(len, bases))):
-            coords[:, r] = (
-                (shifted >> np.uint64(_KEY_BITS * r)) & np.uint64((1 << _KEY_BITS) - 1)
-            ).astype(np.int64) - _KEY_OFF
+        steps; row j has tilt lams[j] and basis magnitudes bases[j].  States
+        are decoded in near-equal slices of at least TILE_CANDIDATES numbers:
+        a slice of one state would take numpy's dot path, whose sum can
+        differ in the last bit from the matrix-vector product's."""
+        vals = np.zeros((len(bases), _KEY_DIMS))
+        for v, basis in zip(vals, bases):
+            v[: len(basis)] = basis
+        n_states = len(self.keys)
+        n_slices = max(1, n_states * _KEY_DIMS // TILE_CANDIDATES)
+        cuts = [n_states * i // n_slices for i in range(n_slices + 1)]
+        sums = np.empty((len(bases), n_states))
+        for part in map(slice, cuts, cuts[1:]):
+            shifted = (self.keys[part] + np.int64(_KEY_BASE)).astype(np.uint64)
+            # fields past the bases' directions always decode to 0
+            coords = np.zeros((len(shifted), _KEY_DIMS))
+            for r in range(max(map(len, bases))):
+                coords[:, r] = (
+                    (shifted >> np.uint64(_KEY_BITS * r)) & np.uint64((1 << _KEY_BITS) - 1)
+                ).astype(np.int64) - _KEY_OFF
+            for d, v in zip(sums, vals):
+                d[part] = coords @ v
         out = np.empty(len(lams))
-        for j, (row, lam, basis) in enumerate(zip(self.probs, lams, bases)):
-            vals = np.zeros(_KEY_DIMS)
-            vals[: len(basis)] = basis
-            out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, coords @ vals))
+        for j, (row, lam, d) in enumerate(zip(self.probs, lams, sums)):
+            out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, d))
         return out
 
 

@@ -212,6 +212,36 @@ def test_functional_pinned_bits(d, eta, spec, lam, literals, compress, expected)
     assert value.hex() == expected
 
 
+@pytest.mark.parametrize("tile", [18, 1000])
+@pytest.mark.parametrize(
+    "d, eta, spec, lam, literals, compress, expected", [p for p in PINNED if p.values[5]]
+)
+def test_functional_pinned_bits_at_any_tile_size(
+    monkeypatch, tile, d, eta, spec, lam, literals, compress, expected
+):
+    # many tiles per product step, and log_moments slices of a few states
+    monkeypatch.setattr(interp, "TILE_CANDIDATES", tile)
+    test_functional_pinned_bits(d, eta, spec, lam, literals, compress, expected)
+
+
+# float.hex at k = 4 before the product step was tiled: the last steps of the
+# literal-invariance check span 15 tiles, and its states 16 log_moments slices
+LOW, HIGH = "0x1.29923eebc3d70p-2", "0x1.29923eebc3d86p-2"
+PINNED_K4_LITERALS = (LOW, *[HIGH] * 6, LOW, LOW, *[HIGH] * 6, LOW, LOW)
+PINNED_K4_SCAN = ((16, "-0x1.90098b6c092a0p-3"), (64, "-0x1.e57b9081ce880p-2"),
+                  (256, "-0x1.ede8e48cacb60p-1"))
+
+
+def test_literal_invariance_pinned_bits_k4():
+    result = literal_invariance_check(ModelParams(4, 20), 1.0, 0.7, n_random=1, seed=0)
+    assert tuple(v.hex() for v in result.values) == PINNED_K4_LITERALS
+
+
+def test_beta_scan_pinned_bits_k4():
+    rows = beta_scaling_scan(ModelParams(4, 22), [16, 64, 256]).rows
+    assert tuple((row.beta, row.p_value.hex()) for row in rows) == PINNED_K4_SCAN
+
+
 def test_clause_law_pinned_bits():
     eta = eta_cluster(ModelParams(3, 7.0), 2.0)
     law = clause_message_law(3, eta, ThetaSpec("nae", 2.0), literals=(1, 0, 0))
@@ -568,8 +598,20 @@ def test_literal_invariance_memory_does_not_grow_with_members(monkeypatch):
     monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", budget)
     assert literal_invariance_check(ModelParams(3, 20), 2.0, 0.5, eta=eta, n_random=1).passed
     # within 8 product-size float64 arrays: the chunked steps peak at about
-    # 6.7 of them, the 202 distinct rows in one state at about 43
+    # 7.0 of them, the 202 distinct rows in one state at about 43
     assert max(peaks) < 8 * 8 * budget
+
+
+def test_literal_invariance_memory_k4():
+    # the product steps hold tiles, never states x entries arrays, which
+    # would peak at 34.7 MiB here
+    tracemalloc.start()
+    try:
+        literal_invariance_check(ModelParams(4, 20), 1.0, 0.7, n_random=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_literal_invariance_asymmetric_eta_can_blow_up():
@@ -676,30 +718,49 @@ def _walk(steps, n_members=1):
 @given(lattice_walks())
 def test_lattice_step_matches_state_major_sum_bitwise(walk):
     n_members, steps = walk
-    state = _walk(steps, n_members)
+    expected = []
     for m in range(n_members):
         # states ascending, the member's law entries in its own order: the
         # summation order of the state-major product reduced by np.unique
         # and np.bincount
-        expected = {0: 1.0}
+        sums = {0: 1.0}
         for members in steps:
             q, moves = members[m]
             new = {}
-            for key in sorted(expected):
+            for key in sorted(sums):
                 for qj, (r, s) in zip(q, moves):
                     target = key + (s << (interp._KEY_BITS * r) if r >= 0 else 0)
-                    new[target] = new.get(target, 0.0) + expected[key] * qj
-            expected = new
-        assert state.keys.tolist() == sorted(expected)
-        assert state.probs[m].tolist() == [expected[key] for key in sorted(expected)]
-        # the one-member state: the member's row does not depend on the others
-        alone = _walk([[members[m]] for members in steps])
-        assert alone.probs[0].tolist() == state.probs[m].tolist()
+                    new[target] = new.get(target, 0.0) + sums[key] * qj
+            sums = new
+        expected.append(sums)
+    # one tile per step; one state of the first entry per tile, so that most
+    # entries have no states in most tiles; and a few candidates per tile
+    for tile in (interp.TILE_CANDIDATES, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "TILE_CANDIDATES", tile)
+            state = _walk(steps, n_members)
+            for m, sums in enumerate(expected):
+                assert state.keys.tolist() == sorted(sums)
+                assert state.probs[m].tolist() == [sums[key] for key in sorted(sums)]
+                # the one-member state: the member's row does not depend on the others
+                alone = _walk([[members[m]] for members in steps])
+                assert alone.probs[0].tolist() == state.probs[m].tolist()
+
+
+def test_lattice_step_limit():
+    # 62 unit steps along one direction fill the 7-bit key field; the 63rd
+    # is refused and leaves the state as it was
+    state = _walk([[([1.0], [(0, 1)])]] * 62)
+    assert state.keys.tolist() == [62] and state.probs[0].tolist() == [1.0]
+    enc, q = interp._sort_moves(np.ones(1), [(0, 1)])
+    with pytest.raises(SupportBlowupError, match="more than 62 product steps"):
+        state.step(enc, [q])
+    assert state.steps_taken == 62 and state.keys.tolist() == [62]
 
 
 def test_lattice_step_checks_budget_before_building(monkeypatch):
-    n_states, n_entries = 1000, 200
-    product_bytes = 8 * n_states * n_entries  # each product array
+    n_states, n_entries = 20_000, 200
+    product_bytes = 8 * n_states * n_entries  # one array of the product
     enc, q = interp._sort_moves(np.full(n_entries, 1.0 / n_entries), [(0, 1)] * n_entries)
 
     def traced_step(limit):
@@ -718,9 +779,12 @@ def test_lattice_step_checks_budget_before_building(monkeypatch):
         tracemalloc.stop()
         return state, peak, error
 
+    # within the budget the step holds tiles, never an array of the product
     state, peak, error = traced_step(n_states * n_entries)
-    assert error is None and peak >= product_bytes  # the trace sees the product
+    assert error is None and peak < product_bytes // 4
+    assert state.steps_taken == 1 and len(state.keys) == n_states
+    # past it the step raises before allocating a row of states
     state, peak, error = traced_step(n_states * n_entries - 1)
     assert "exceeds" in str(error)
-    assert peak < product_bytes // 4
+    assert peak < 8 * n_states
     assert state.steps_taken == 0 and len(state.keys) == n_states
