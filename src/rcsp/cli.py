@@ -32,6 +32,7 @@ import mpmath
 from .bp import BracketError, ModelParams, solve_fixed_point
 from .certificates import DEFAULT_DIGITS, MAX_DIGITS, CertificateReport, evaluate, verify_all
 from .ensemble import (
+    MODELS,
     ConcentrationStat,
     GibbsSummary,
     SweepPoint,
@@ -145,9 +146,7 @@ _N = _arg("--n", type=int, required=True, help="number of variables")
 _N_LIST = _arg("--n", type=_int_list, required=True, help="comma-separated sizes")
 _BETA = _arg("--beta", type=float, required=True, help="inverse temperature")
 _SEED = _arg("--seed", type=int, required=True, help="master seed")
-_MODEL = _arg(
-    "--model", choices=("nae", "coloring"), default="nae", help="constraint model (default nae)"
-)
+_MODEL = _arg("--model", choices=MODELS, default="nae", help="constraint model (default nae)")
 _PATH = _arg("path", help="instance file")
 _DEGREE_TOL = _arg("--tol", type=float, default=1e-9, help="degree bisection tolerance")
 _FIXED_POINT_TOL = _arg("--tol", type=float, default=1e-12, help="fixed-point tolerance")

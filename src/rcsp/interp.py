@@ -76,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import ModelParams, solve_fixed_point
+from .ensemble import MODELS
 from .thresholds import phi
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "BetaScanResult",
     "SupportBlowupError",
     "eta_cluster",
-    "theta_value",
     "clause_message_law",
     "functional_exact",
     "functional_monte_carlo",
@@ -185,55 +185,46 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Clause weight family: model, inverse temperature, optional literals.
+    """Clause weight family: model and inverse temperature.
 
     The clause weight of an assignment is 1 - theta = e^{-beta} when the
-    assignment is monochromatic after XOR with the literals, else 1.
-    Coloring is the all-zero-literal case.  beta must be finite; beta = 0
+    assignment is monochromatic after XOR with the clause's literals, else
+    1.  The literals are given per evaluation (the literals argument of
+    clause_message_law and functional_exact), all zero by default, and
+    coloring admits only all-zero literals.  beta must be finite; beta = 0
     is admitted as the degenerate weight-1 limit.
     """
 
     model: str
     beta: float
-    literals: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in ("coloring", "nae"):
-            raise ValueError(f"model must be 'coloring' or 'nae', got {self.model!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be {' or '.join(map(repr, sorted(MODELS)))}, "
+                             f"got {self.model!r}")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta!r}")
-        if self.literals is not None:
-            object.__setattr__(self, "literals", _literal_bits(self.model, self.literals))
 
 
-def _literal_bits(model: str, lits) -> tuple[int, ...]:
-    """lits as a tuple of bits; coloring admits only all-zero literals."""
+def _literal_bits(k: int, model: str, lits) -> tuple[int, ...]:
+    """lits (None: all zero) as k bits; coloring admits only all-zero literals."""
+    if lits is None:
+        return (0,) * k
     if any(b not in (0, 1) for b in lits):
         raise ValueError(f"literals must be bits: {lits!r}")
     out = tuple(int(b) for b in lits)
     if model == "coloring" and any(out):
         raise ValueError("coloring requires all-zero literals")
+    if len(out) != k:
+        raise ValueError(f"need {k} literal bits, got {len(out)}")
     return out
-
-
-def theta_value(spec: ThetaSpec, x_vec) -> float:
-    """theta(x) = (1 - e^{-beta}) iff x XOR literals is monochromatic, else 0."""
-    bits = tuple(int(b) for b in x_vec)
-    lits = spec.literals if spec.literals is not None else (0,) * len(bits)
-    if len(lits) != len(bits):
-        raise ValueError(f"length mismatch: {len(bits)} bits vs {len(lits)} literals")
-    masked = tuple(b ^ l for b, l in zip(bits, lits))
-    if all(masked) or not any(masked):
-        return -math.expm1(-spec.beta)
-    return 0.0
 
 
 @dataclass(frozen=True)
 class ClauseMessageLaw:
     """Joint law of (u(0), u(1)) over k-1 independent atom draws.
 
-    entries are (ln u0, ln u1, probability); support presents them as
-    ((u0, u1), probability) pairs.  u values lie in [e^{-beta}, 1].
+    entries are (ln u0, ln u1, probability); u values lie in [e^{-beta}, 1].
     """
 
     beta: float
@@ -252,12 +243,6 @@ class ClauseMessageLaw:
                     raise ValueError(
                         f"ln u = {lu} outside [{-self.beta}, 0] at beta={self.beta}"
                     )
-
-    @property
-    def support(self) -> tuple[tuple[tuple[float, float], float], ...]:
-        return tuple(
-            ((math.exp(lu0), math.exp(lu1)), p) for lu0, lu1, p in self.entries
-        )
 
 
 def eta_cluster(params: ModelParams, beta: float, tol: float = 1e-12) -> AtomicMeasure:
@@ -305,15 +290,6 @@ def _log_u(lp: float, beta: float) -> float:
     return float(np.logaddexp(math.log(om), -beta + lp))
 
 
-def _resolve_literals(k: int, spec: ThetaSpec, lits) -> tuple[int, ...]:
-    if lits is None:
-        lits = spec.literals if spec.literals is not None else (0,) * k
-    out = _literal_bits(spec.model, lits)
-    if len(out) != k:
-        raise ValueError(f"need {k} literal bits, got {len(out)}")
-    return out
-
-
 def _draws(eta: AtomicMeasure, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every draw of len(bits) independent atoms, first slot slowest.
 
@@ -352,11 +328,11 @@ def clause_message_law(
     Enumerates all |atoms|^(k-1) draws; factor j of u(x) is the atom weight
     of the bit x XOR L_1 XOR L_j, so u(x) = 1 - (1-e^{-beta}) prod_j rho_j.
     Identical pairs (at 15 significant digits of the log values) aggregate.
-    literals overrides spec.literals for this one clause.
+    literals is the clause's literal vector L, all zero when None.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    lits = _resolve_literals(k, spec, literals)
+    lits = _literal_bits(k, spec.model, literals)
     beta = spec.beta
     prob, lp0, lp1 = _draws(eta, [lits[0] ^ lits[j] for j in range(1, k)])
     merged: dict[tuple[float, float], tuple[float, float, float]] = {}
@@ -641,15 +617,15 @@ def _second_term(eta: AtomicMeasure, spec: ThetaSpec, lits0, lam: float) -> floa
     return _logsumexp(lnp + lam * lu0)
 
 
-def _normalize_literals(k: int, d: float, spec: ThetaSpec, literals):
-    """Resolve (L0, per-clause literal vectors) for ceil(d) clauses."""
+def _normalize_literals(k: int, d: float, model: str, literals):
+    """(L0, per-clause literal vectors) for ceil(d) clauses; None: all zero."""
     n_laws = math.ceil(d)
     if literals is None:
-        base = _resolve_literals(k, spec, None)
-        return base, [base] * n_laws
+        zero = _literal_bits(k, model, None)
+        return zero, [zero] * n_laws
     lits0, per_clause = literals
-    lits0 = _resolve_literals(k, spec, lits0)
-    per = [_resolve_literals(k, spec, lv) for lv in per_clause]
+    lits0 = _literal_bits(k, model, lits0)
+    per = [_literal_bits(k, model, lv) for lv in per_clause]
     if len(per) != n_laws:
         raise ValueError(f"need {n_laws} clause literal vectors, got {len(per)}")
     return lits0, per
@@ -660,20 +636,21 @@ def _member(
 ):
     """(the ceil(d) clause laws, ln E[u0^lam] of the standalone clause) of one evaluation.
 
-    built holds what one batch shares: the clause laws under (eta, model,
-    beta, flip class) and the standalone terms under (eta, beta, flip class
-    of L0, lam).  The term reads neither the model nor which of L0 and ~L0
-    it is given (see _flip_class), so its class shares one float.
+    built holds what one batch shares: the clause laws under (eta, beta,
+    flip class) and the standalone terms under (eta, beta, flip class of L0,
+    lam).  Neither reads the model, which only validates the literals, nor
+    which of L and ~L it is given (see _flip_class), so a class shares one
+    law and one float.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
     if len(eta.atoms) > MAX_ATOMS:
         raise ValueError(f"eta has {len(eta.atoms)} atoms; at most {MAX_ATOMS}")
     k = params.k
-    lits0, per_clause = _normalize_literals(k, params.d, spec, literals)
+    lits0, per_clause = _normalize_literals(k, params.d, spec.model, literals)
     laws = []
     for lv in map(_flip_class, per_clause):
-        key = (eta, spec.model, spec.beta, lv)
+        key = (eta, spec.beta, lv)
         if key not in built:
             built[key] = clause_message_law(k, eta, spec, literals=lv)
         laws.append(built[key])
@@ -725,8 +702,8 @@ def functional_exact(
     """Exact value of the interpolation functional P at the point mass eta.
 
     lam must lie strictly in (0,1).  literals, when given, is a pair
-    (L0, [L1..L_ceil(d)]) of per-clause literal vectors for the mixed
-    case; otherwise spec.literals (or all-zero) applies to every clause.
+    (L0, [L1..L_ceil(d)]): L0 for the standalone clause and one vector per
+    clause of the product; None gives every clause all-zero literals.
     compress=False routes the first term through the uncompressed
     reference product (small d only); the compressed and reference paths
     agree to float accuracy because lattice merging is exact.  Raises
@@ -747,9 +724,9 @@ def functional_monte_carlo(
     """Monte Carlo estimate of the functional; returns (estimate, stderr).
 
     Samples atom draws for the d-fold clause product and the standalone
-    clause, averages the lam-powers, and propagates the two sample
-    standard errors through the logs (delta method).  Integer d and at
-    least two samples only: one sample gives no standard error.
+    clause, all literals zero, averages the lam-powers, and propagates the
+    two sample standard errors through the logs (delta method).  Integer d
+    and at least two samples only: one sample gives no standard error.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
@@ -758,13 +735,12 @@ def functional_monte_carlo(
     k, d = params.k, int(params.d)
     if d != params.d:
         raise ValueError("monte carlo path requires integer d")
-    lits0, per_clause = _normalize_literals(k, d, spec, None)
     rng = np.random.default_rng(seed)
     masses = np.array([m for _, m in eta.atoms])
-    lpair = np.array(eta.log_pairs)  # (n_atoms, 2)
+    # ln rho(0) and ln rho(1) per atom: with all-zero literals every factor
+    # of u(x), and of the standalone clause's two products, reads column x
+    lrho = np.array(eta.log_pairs).T
     beta = spec.beta
-
-    bits0 = np.array([[lv[0] ^ lv[j] for j in range(1, k)] for lv in per_clause])
 
     def log_u_vec(lp):
         if beta == 0.0:
@@ -780,19 +756,13 @@ def functional_monte_carlo(
     while done < n_samples:
         n = min(MC_CHUNK, n_samples - done)
         draws = rng.choice(len(masses), size=(n, d, k - 1), p=masses)
-        b0 = np.broadcast_to(bits0[None, :, :], (n, d, k - 1))
-        lp0 = np.take_along_axis(lpair[draws], b0[..., None], axis=3)[..., 0].sum(axis=2)
-        lp1 = np.take_along_axis(lpair[draws], (1 - b0)[..., None], axis=3)[..., 0].sum(axis=2)
-        lP0 = log_u_vec(lp0).sum(axis=1)
-        lP1 = log_u_vec(lp1).sum(axis=1)
+        lP0, lP1 = (log_u_vec(col[draws].sum(axis=2)).sum(axis=1) for col in lrho)
         v1 = np.exp(lam * np.logaddexp(lP0, lP1))
         sum1 += float(v1.sum())
         sum1_sq += float((v1**2).sum())
 
         draws0 = rng.choice(len(masses), size=(n, k), p=masses)
-        l0bits = np.broadcast_to(np.array(lits0)[None, :], (n, k))
-        lpa = np.take_along_axis(lpair[draws0], l0bits[..., None], axis=2)[..., 0].sum(axis=1)
-        lpb = np.take_along_axis(lpair[draws0], (1 - l0bits)[..., None], axis=2)[..., 0].sum(axis=1)
+        lpa, lpb = (col[draws0].sum(axis=1) for col in lrho)
         lps = np.minimum(np.logaddexp(lpa, lpb), 0.0)
         v0 = np.exp(lam * log_u_vec(lps))
         sum0 += float(v0.sum())

@@ -100,12 +100,12 @@ def _dphi_dd(k: int, x, ctx=mpmath):
     return -(1 - ctx.mpf(1) / k) * ctx.log(1 - 2 * x**k) + ctx.log(1 - x ** (k - 1))
 
 
-def phi_star(params: ModelParams, tol: float = 1e-12) -> float:
+def phi_star(params: ModelParams) -> float:
     """phi evaluated at the solved BP fixed point.
 
     Runs bare bisection (check=False); d_star's search calls it per probe.
     """
-    return phi(params, solve_fixed_point(params, tol, check=False).x)
+    return phi(params, solve_fixed_point(params, check=False).x)
 
 
 def d_first_moment(k: int) -> float:

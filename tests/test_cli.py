@@ -12,6 +12,7 @@ import pytest
 
 import rcsp
 from rcsp import cli
+from rcsp import thresholds as th
 from rcsp.bp import ModelParams
 from rcsp.cli import main
 from rcsp.ensemble import read_instance, sample_instance, write_instance
@@ -74,6 +75,16 @@ def test_dstar(capsys):
     assert float(row["d_star"]) == pytest.approx(6.7417005766105653, abs=2e-9)
     assert row["sign_changes"] == "1"
     assert float(row["bracket_lo"]) < float(row["d_star"]) < float(row["bracket_hi"])
+
+
+def test_dstar_no_bracket_exit_2(capsys, monkeypatch):
+    # the upper-end no_bracket of d_star gives up with one line
+    monkeypatch.setattr(th, "phi_star", lambda params: 1.0)
+    code, out, err = run(capsys, "dstar", "--k", "5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rcsp: computation failed: the float scan cannot bracket d_star at k=5:")
+    assert "at the window's upper end, expected < 0" in err
 
 
 def test_phi_explicit_x(capsys):

@@ -155,6 +155,15 @@ def test_lagrange_lambda_values():
     )
 
 
+def test_lagrange_lambda_gives_up_past_the_limit():
+    # at k = 2 the tilted law has the one entry j = 1, so its mean is 1 at
+    # every tilt and never reaches k * gamma: the bracket grows past the limit
+    with pytest.raises(ValueError, match=r"^no bracket with lambda >= -50\.0$"):
+        lagrange_lambda(0.45, 2)
+    with pytest.raises(ValueError, match=r"^no bracket with lambda <= 50\.0$"):
+        lagrange_lambda(0.55, 2)
+
+
 @pytest.mark.parametrize("gamma", (0.42, 0.47, 0.55, 0.6))
 @pytest.mark.parametrize("k", (3, 4, 6))
 def test_lagrange_lambda_hits_target_mean(gamma, k):

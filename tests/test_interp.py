@@ -1,5 +1,6 @@
 """Unit tests for the interpolation functional and its supporting laws."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -23,7 +24,6 @@ from rcsp.interp import (
     functional_exact,
     functional_monte_carlo,
     literal_invariance_check,
-    theta_value,
 )
 
 POINT_HALF = AtomicMeasure(atoms=((0.5, 1.0),), symmetric=True)
@@ -53,30 +53,22 @@ def test_measure_log_pairs_derived():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    # a spec is (model, beta); literals come per evaluation
+    assert [f.name for f in dataclasses.fields(ThetaSpec)] == ["model", "beta"]
+    with pytest.raises(ValueError) as exc:
         ThetaSpec("xor", 1.0)
+    assert str(exc.value) == "model must be 'coloring' or 'nae', got 'xor'"
     for beta in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="beta must be >= 0"):
             ThetaSpec("nae", beta)
         with pytest.raises(ValueError, match="beta must be >= 0"):
             eta_cluster(ModelParams(3, 7.0), beta)
-    with pytest.raises(ValueError):
-        ThetaSpec("nae", 1.0, literals=(0, 2, 0))
-    with pytest.raises(ValueError):
-        ThetaSpec("nae", 1.0, literals=(0, 0.5, 1))  # no truncation to a bit
-    with pytest.raises(ValueError):
-        ThetaSpec("coloring", 1.0, literals=(0, 1, 0))
-    assert ThetaSpec("coloring", 0.0).literals is None
-
-
-def test_theta_value():
-    spec = ThetaSpec("nae", 2.0, literals=(1, 0, 0))
-    hit = -math.expm1(-2.0)
-    assert theta_value(spec, (1, 0, 0)) == hit  # masked to all-zero
-    assert theta_value(spec, (0, 1, 1)) == hit  # masked to all-one
-    assert theta_value(spec, (0, 0, 0)) == 0.0
-    with pytest.raises(ValueError):
-        theta_value(spec, (0, 0))
+    with pytest.raises(ValueError, match="literals must be bits"):
+        clause_message_law(3, POINT_HALF, ThetaSpec("nae", 1.0), literals=(0, 2, 0))
+    with pytest.raises(ValueError, match="literals must be bits"):  # no truncation to a bit
+        clause_message_law(3, POINT_HALF, ThetaSpec("nae", 1.0), literals=(0, 0.5, 1))
+    with pytest.raises(ValueError, match="coloring requires all-zero literals"):
+        clause_message_law(3, POINT_HALF, ThetaSpec("coloring", 1.0), literals=(0, 1, 0))
 
 
 def test_eta_cluster_structure():
@@ -110,11 +102,11 @@ def test_clause_law_point_mass():
     beta = 1.0
     law = clause_message_law(3, POINT_HALF, ThetaSpec("coloring", beta))
     assert len(law.entries) == 1
-    ((u0, u1), p) = law.support[0]
+    ((lu0, lu1, p),) = law.entries
     c = 1.0 - (-math.expm1(-beta)) * 0.25
     assert p == pytest.approx(1.0, abs=1e-15)
-    assert u0 == pytest.approx(c, rel=1e-14)
-    assert u1 == pytest.approx(c, rel=1e-14)
+    assert math.exp(lu0) == pytest.approx(c, rel=1e-14)
+    assert math.exp(lu1) == pytest.approx(c, rel=1e-14)
 
 
 def test_clause_law_probabilities_and_range():
@@ -122,11 +114,11 @@ def test_clause_law_probabilities_and_range():
     beta = 3.0
     eta = eta_cluster(params, beta)
     law = clause_message_law(3, eta, ThetaSpec("nae", beta))
-    total = sum(p for _, p in law.support)
+    total = sum(p for _, _, p in law.entries)
     assert total == pytest.approx(1.0, abs=1e-12)
-    for (u0, u1), _ in law.support:
-        assert math.exp(-beta) - 1e-12 <= u0 <= 1.0 + 1e-12
-        assert math.exp(-beta) - 1e-12 <= u1 <= 1.0 + 1e-12
+    for lu0, lu1, _ in law.entries:
+        assert math.exp(-beta) - 1e-12 <= math.exp(lu0) <= 1.0 + 1e-12
+        assert math.exp(-beta) - 1e-12 <= math.exp(lu1) <= 1.0 + 1e-12
 
 
 def test_clause_law_validation():
@@ -188,7 +180,7 @@ NAE = ThetaSpec("nae", 2.0)
 PINNED = (
     pytest.param(7.0, None, ThetaSpec("coloring", 2.0), 0.5, None, True,
                  "0x1.786f6fdaa7cd0p-3", id="uniform"),
-    pytest.param(7.0, None, ThetaSpec("nae", 2.0, (1, 0, 0)), 0.5, None, True,
+    pytest.param(7.0, None, NAE, 0.5, ((1, 0, 0), [(1, 0, 0)] * 7), True,
                  "0x1.786f6fdaa7cd0p-3", id="uniform-L100"),
     pytest.param(7.0, None, NAE, 0.5, MIXED, True, "0x1.786f6fdaa7cd0p-3", id="mixed"),
     pytest.param(7.0, ASYM, NAE, 0.5, MIXED, True, "0x1.2a701b9eb4c00p-5", id="mixed-asym"),
@@ -329,15 +321,17 @@ def test_functional_flip_class_bitwise(k, d, window_d, mixed, asym):
     params = ModelParams(k, d)
     eta = ASYM if asym else eta_cluster(ModelParams(k, window_d), 2.0)
 
-    def value(literals=None, spec=NAE):
-        return functional_exact(params, eta, spec, 0.5, literals=literals).hex()
+    def value(literals):
+        return functional_exact(params, eta, NAE, 0.5, literals=literals).hex()
+
+    def uniform(lits):
+        return lits, [lits] * math.ceil(d)
 
     for lits in itertools.product((0, 1), repeat=k):
         law = clause_message_law(k, eta, NAE, literals=lits)
         assert law.entries == clause_message_law(k, eta, NAE, literals=_flip(lits)).entries
         if lits[0] == 0:
-            flipped = ThetaSpec("nae", 2.0, _flip(lits))
-            assert value(spec=ThetaSpec("nae", 2.0, lits)) == value(spec=flipped)
+            assert value(uniform(lits)) == value(uniform(_flip(lits)))
     lits0, per = mixed
     assert value((_flip(lits0), per)) == value(mixed)
     assert value((lits0, [_flip(per[0])] + per[1:])) == value(mixed)
@@ -347,21 +341,16 @@ def test_functional_flip_class_bitwise(k, d, window_d, mixed, asym):
 def _one_at_a_time(params, beta, lam, eta, n_random, seed=0):
     """literal_invariance_check's values by a plain functional_exact loop:
     one evaluation per uniform vector, then the mixed draws."""
-    k = params.k
+    k, n_laws, spec = params.k, math.ceil(params.d), ThetaSpec("nae", beta)
     values = [
-        functional_exact(params, eta, ThetaSpec("nae", beta, lits), lam)
+        functional_exact(params, eta, spec, lam, literals=(lits, [lits] * n_laws))
         for lits in itertools.product((0, 1), repeat=k)
     ]
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         lits0 = tuple(int(b) for b in rng.integers(0, 2, size=k))
-        per = [
-            tuple(int(b) for b in rng.integers(0, 2, size=k))
-            for _ in range(math.ceil(params.d))
-        ]
-        values.append(
-            functional_exact(params, eta, ThetaSpec("nae", beta), lam, literals=(lits0, per))
-        )
+        per = [tuple(int(b) for b in rng.integers(0, 2, size=k)) for _ in range(n_laws)]
+        values.append(functional_exact(params, eta, spec, lam, literals=(lits0, per)))
     return [v.hex() for v in values]
 
 
@@ -630,6 +619,22 @@ def test_monte_carlo_agrees_with_exact():
     est, se = functional_monte_carlo(params, eta, spec, lam, n_samples=200_000, seed=1)
     assert se < 0.01
     assert abs(est - exact) < 5.0 * se
+
+
+# float.hex of (estimate, stderr) before the draws were read by column; the
+# two models agree, as neither reads literals here.  100,001 samples end in
+# a chunk of one.
+PINNED_MC = {0: ("0x1.84d6081f7f950p-3", "0x1.66909a2093fdep-7"),
+             7: ("0x1.7bf2dc5bbec70p-3", "0x1.6630e7d89aab4p-7")}
+
+
+@pytest.mark.parametrize("model", ("coloring", "nae"))
+@pytest.mark.parametrize("seed", sorted(PINNED_MC))
+def test_monte_carlo_pinned_bits(model, seed):
+    params = ModelParams(3, 7)
+    eta = eta_cluster(params, 2.0)
+    got = functional_monte_carlo(params, eta, ThetaSpec(model, 2.0), 0.5, 100_001, seed)
+    assert tuple(x.hex() for x in got) == PINNED_MC[seed]
 
 
 def test_monte_carlo_requires_integer_degree():

@@ -1,6 +1,7 @@
 """Unit tests for the free-energy functional and the degree thresholds."""
 
 import math
+import re
 
 import pytest
 
@@ -124,6 +125,16 @@ def test_d_star_unbracketable_k():
         with pytest.raises(BracketError, match=f"float scan cannot bracket d_star at k={k}:"
                            ".*phi_star's float error there can exceed its size"):
             d_star(k)
+
+
+def test_d_star_no_bracket_at_the_upper_end(monkeypatch):
+    # phi_star positive everywhere: the window's upper end has the wrong sign
+    monkeypatch.setattr(th, "phi_star", lambda params: 1.0)
+    hi = th.degree_window(5).d_ubd
+    with pytest.raises(BracketError, match=re.escape(
+        f"phi_star({hi}) = 1.000e+00 at the window's upper end, expected < 0"
+    )):
+        d_star(5)
 
 
 def test_d_first_moment_values():
