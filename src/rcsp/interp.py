@@ -30,15 +30,15 @@ last bit (on an AVX-512 host, for 1-4% of inputs).
 One product step adds each law entry's encoded step to every state key.
 The keys are sorted and unique, and the entries come in descending order of
 their step (ties in entry order).  The step works through the new keys'
-range in tiles cut at every stride-th state key moved by the first entry's
-step.  For each entry the source states landing in one tile form one
-slice, which a single np.searchsorted finds for every tile and entry, so a
-tile holds about TILE_CANDIDATES (state, entry) candidates and no array
-holds states x entries numbers.  A tile lays its candidates out entry by
-entry, each entry's source states ascending; a sort of the tile's keys
-numbers its distinct keys, np.bincount sums the terms of each key in that
-layout order, and the tiles are concatenated in key order.  A key's terms
-all land in one tile, and within it they arrive in entry order, which is
+range in tiles cut at every stride-th state key moved by the largest step.
+For each step the source states landing in one tile form one slice, which
+a single np.searchsorted finds for every tile and step, so a tile holds
+about TILE_CANDIDATES (state, entry) candidates and no array holds states x
+entries numbers.  A tile lays its candidates out entry by entry, each
+entry's source states ascending; a sort of the tile's keys numbers its
+distinct keys, np.bincount sums the terms of each key in that layout
+order, and the tiles are concatenated in key order.  A key's terms all
+land in one tile, and within it they arrive in entry order, which is
 ascending order of their source state (the steps descend), and for one
 source state in entry order.  That is the order in which the state-major
 product (state i, then entry j), reduced by np.unique and np.bincount, adds
@@ -47,19 +47,24 @@ size.  Neither np.add.reduceat (pairwise summation) nor pre-merging entries
 that share a step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that
 order.
 
-The tiles, the merged keys and the group ids depend only on the sorted
-vector of encoded steps, never on the probabilities.  So evaluations
-whose sorted steps agree at every product step (the literal classes of
-literal_invariance_check, nearby betas of one scan) share that plan: the
-keys are built and sorted once per step, and each member's probability
-row is multiplied and summed by np.bincount exactly as a lattice of its
-own would do it, so every value is the same float.  Members whose
-tilted, sorted laws agree byte for byte at every step (and in lam and the
-basis magnitudes) are twins and share one row, which the same numpy calls
-on the same bytes fill alike.  L and ~L share their clause laws, so they
-always are twins, and the literal classes of a symmetric eta mostly are:
-the 17 members of the check at k = 4, d = 20 with one mixed assignment
-take 3 rows.
+The new keys are the union of the keys moved by each distinct step, so
+the tiles, the merged keys and the group ids of each step's run of source
+states depend only on the distinct encoded steps, never on the
+probabilities or on how many entries share a step.  Evaluations whose
+distinct steps agree at every product step (the literal classes of
+literal_invariance_check, the betas of one scan, whose laws differ in how
+many entries take no step) share one plan per tile: the runs of their
+entry list when all have the same one, else one run per distinct step.
+Each member's weights are laid out in its own entry order, every entry
+reading the group ids of its step's run, and np.bincount sums them exactly
+as a lattice of its own would, so every value is the same float.  The
+keys are built and sorted once per step for all of them.  Members
+whose tilted, sorted laws agree byte for byte at every step (and in lam
+and the basis magnitudes) are twins and share one row, which the same
+numpy calls on the same bytes fill alike.  L and ~L share their clause
+laws, so they always are twins, and the literal classes of a symmetric eta
+mostly are: the 17 members of the check at k = 4, d = 20 with one mixed
+assignment take 3 rows.
 A state probability below the smallest normal float64 raises
 SupportBlowupError: at large beta the tilted states underflow, and
 dropping them changed the value (at k = 3, d = 4, beta = 65536 the
@@ -358,13 +363,13 @@ def _tilt_law(entries, lam):
 
 
 def _encode_law(law: ClauseMessageLaw, lam: float, basis: tuple):
-    """(ln Z1, encoded steps, q, basis after) of law tilted by lam.
+    """(ln Z1, distinct steps, layout, q, basis after) of law tilted by lam.
 
     Each delta becomes a (dimension, sign) unit step: |delta| <= 1e-12
     takes no step, a magnitude within 1e-9 (relative to its size) of a
     basis magnitude reuses that dimension, and any other magnitude opens a
     new one, so laws differing only by literal flips land on one common
-    lattice.  Steps and q come sorted by _sort_moves, or None when the
+    lattice.  Steps, layout and q come from _sort_moves, or None when the
     basis outgrows the lattice key.
     """
     lz1, q, delta = _tilt_law(law.entries, lam)
@@ -381,18 +386,19 @@ def _encode_law(law: ClauseMessageLaw, lam: float, basis: tuple):
         moves.append((r, 1 if dl > 0 else -1))
     basis = tuple(basis)
     if len(basis) > _KEY_DIMS:
-        return lz1, None, None, basis
+        return lz1, None, None, None, basis
     return (lz1, *_sort_moves(q, moves), basis)
 
 
-def _sort_moves(q: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded (dimension, sign) steps in descending order (ties in entry
-    order), and q in that order."""
-    enc = np.array(
-        [s * (1 << (_KEY_BITS * r)) if r >= 0 else 0 for r, s in moves], dtype=np.int64
-    )
-    order = np.argsort(-enc, kind="stable")
-    return enc[order], q[order]
+def _sort_moves(q: np.ndarray, moves) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """(distinct steps, layout, q) of (dimension, sign) moves: the distinct
+    encoded steps in descending order, each entry's index among them with
+    the entries in descending order of their step (ties in entry order),
+    and q in that entry order."""
+    enc = [s * (1 << (_KEY_BITS * r)) if r >= 0 else 0 for r, s in moves]
+    order = sorted(range(len(enc)), key=lambda e: -enc[e])
+    steps = sorted(set(enc), reverse=True)
+    return np.array(steps, dtype=np.int64), tuple(steps.index(enc[e]) for e in order), q[order]
 
 
 class _LatticeState:
@@ -403,70 +409,117 @@ class _LatticeState:
     m_r + 63 in [1, 125], so distinct count vectors give distinct keys and
     decoding is field extraction.  keys stay sorted and unique, and step
     sums tile by tile in the order the module docstring derives, after
-    checking the product against MAX_PRODUCT_STATES and before allocating
-    anything.
+    checking each row's product against MAX_PRODUCT_STATES and before
+    allocating anything.  A row that fails stops: its probs turn None and
+    errors holds its SupportBlowupError under its index.
     """
 
     def __init__(self, n_rows: int) -> None:
         self.keys = np.array([0], dtype=np.int64)
         self.probs = [np.ones(1) for _ in range(n_rows)]
+        self.errors: dict[int, SupportBlowupError] = {}
         self.steps_taken = 0
 
-    def step(self, enc: np.ndarray, qs) -> None:
-        """Convolve with one clause law: enc its encoded steps in descending
-        order, qs one array of entry probabilities per row, in enc's order."""
+    def stop(self, j: int, error: SupportBlowupError) -> None:
+        self.probs[j] = None
+        self.errors[j] = error
+
+    def step(self, steps: np.ndarray, layouts, qs) -> None:
+        """Convolve each live row with its clause law.  steps are the laws'
+        common distinct encoded steps in descending order; row j's law has
+        one entry per item of layouts[j], that entry's index in steps
+        (ascending), with probability qs[j][e].  A row whose states times
+        entries exceed MAX_PRODUCT_STATES stops; the others go on."""
         if self.steps_taken >= _KEY_OFF - 1:
             raise SupportBlowupError(f"more than {_KEY_OFF - 1} product steps")
-        if len(self.keys) * len(enc) > MAX_PRODUCT_STATES:
-            raise SupportBlowupError(
-                f"product of {len(self.keys)} states and {len(enc)} law entries "
-                f"exceeds {MAX_PRODUCT_STATES}"
-            )
-        keys, steps, q_rows = self.keys, enc.tolist(), [q.tolist() for q in qs]
+        keys, rows = self.keys, {}  # the live rows by layout
+        for j, (layout, row) in enumerate(zip(layouts, self.probs)):
+            if row is None:
+                continue
+            if len(keys) * len(layout) > MAX_PRODUCT_STATES:
+                self.stop(j, SupportBlowupError(
+                    f"product of {len(keys)} states and {len(layout)} law entries "
+                    f"exceeds {MAX_PRODUCT_STATES}"
+                ))
+            else:
+                rows.setdefault(layout, []).append(j)
+        if not rows:
+            return
+        # the plan, whose keys each tile sorts and numbers: the rows' one
+        # layout, or else one run per distinct step, whose group ids every
+        # layout reads
+        plan = next(iter(rows)) if len(rows) == 1 else tuple(range(len(steps)))
+        rows = {plan: [], **rows}
+        moves = steps.tolist()
+        q_rows = {j: qs[j].tolist() for js in rows.values() for j in js}
         # Tiles of new keys, cut at every stride-th state key moved by the
-        # first entry's step, so that entry puts stride states in each tile
-        # and no tile is empty; bounds[t][e] is the first state whose
-        # key + enc[e] falls in tile t.
-        n_tiles = -(-len(keys) * len(enc) // TILE_CANDIDATES)
+        # largest step, so that step puts stride states in each tile and no
+        # tile is empty; bounds[t][r] is the first state whose key + steps[r]
+        # falls in tile t.
+        n_tiles = -(-len(keys) * max(map(len, rows)) // TILE_CANDIDATES)
         stride = -(-len(keys) // n_tiles)
-        cuts = np.searchsorted(keys, keys[stride::stride, None] + (enc[0] - enc)).tolist()
-        bounds = [[0] * len(enc), *cuts, [len(keys)] * len(enc)]
-        new_keys, new_probs = [], [[] for _ in qs]
+        cuts = []
+        if n_tiles > 1:
+            cuts = np.searchsorted(keys, keys[stride::stride, None] + (steps[0] - steps)).tolist()
+        bounds = [[0] * len(steps), *cuts, [len(keys)] * len(steps)]
+        new_keys, new_probs = [], {j: [] for j in q_rows}
         for lo, hi in zip(bounds, bounds[1:]):
-            # the tile's candidates entry by entry, each entry's source states
-            # ascending: runs holds each entry's states and place in the tile
-            ends = list(itertools.accumulate(b - a for a, b in zip(lo, hi)))
-            runs = list(zip(map(slice, lo, hi), map(slice, [0, *ends], ends)))
-            tile_keys = np.empty(ends[-1], dtype=np.int64)
-            for (src, dst), step in zip(runs, steps):
-                np.add(keys[src], step, out=tile_keys[dst])
-            # gid: each candidate's rank among the tile's distinct keys; any
-            # sort gives the same ranks, and timsort merges the runs fastest
-            perm = np.argsort(tile_keys, kind="stable")
-            sorted_keys = tile_keys[perm]
-            starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-            new_keys.append(sorted_keys[starts])
-            gid = np.empty(len(perm), dtype=np.intp)
-            gid[perm] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(perm)))
-            del tile_keys, perm, sorted_keys
-            weights = np.empty(len(gid))
-            for row, q, old in zip(new_probs, q_rows, self.probs):
-                for (src, dst), qe in zip(runs, q):
-                    np.multiply(old[src], qe, out=weights[dst])
-                row.append(np.bincount(gid, weights=weights, minlength=len(starts)))
-        self.keys = np.concatenate(new_keys)
-        # each old row is freed as its new row lands
-        for j, row in enumerate(new_probs):
-            self.probs[j] = np.concatenate(row)
+            src = list(map(slice, lo, hi))
+            for layout, js in rows.items():
+                # a layout's candidates entry by entry, each entry's source
+                # states ascending: dst holds each entry's place in the tile
+                ends = list(itertools.accumulate(hi[r] - lo[r] for r in layout))
+                dst = list(map(slice, [0, *ends], ends))
+                if layout is plan:
+                    tile_keys = np.empty(ends[-1], dtype=np.int64)
+                    for r, out in zip(layout, dst):
+                        np.add(keys[src[r]], moves[r], out=tile_keys[out])
+                    # gid: each candidate's rank among the tile's distinct
+                    # keys; any sort gives the same ranks, and timsort merges
+                    # the runs fastest
+                    perm = np.argsort(tile_keys, kind="stable")
+                    sorted_keys = tile_keys[perm]
+                    starts = np.flatnonzero(
+                        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+                    )
+                    new_keys.append(sorted_keys[starts])
+                    # each key's candidate count (np.diff with append= costs
+                    # more than a small step's sort)
+                    counts = np.empty_like(starts)
+                    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+                    counts[-1] = len(perm) - starts[-1]
+                    plan_gid = np.empty(len(perm), dtype=np.intp)
+                    plan_gid[perm] = np.repeat(np.arange(len(starts)), counts)
+                    del tile_keys, perm, sorted_keys, counts
+                    gid, run_of = plan_gid, dict(zip(layout, dst))
+                else:
+                    # each entry reads the group ids of its step's plan run
+                    gid = np.concatenate([plan_gid[run_of[r]] for r in layout])
+                if not js:
+                    continue
+                weights = np.empty(len(gid))
+                for j in js:
+                    old = self.probs[j]
+                    for r, out, qe in zip(layout, dst, q_rows[j]):
+                        np.multiply(old[src[r]], qe, out=weights[out])
+                    new_probs[j].append(
+                        np.bincount(gid, weights=weights, minlength=len(starts))
+                    )
+        # one tile's arrays are the new ones; each old row is freed as its
+        # new row lands
+        self.keys = new_keys[0] if len(new_keys) == 1 else np.concatenate(new_keys)
+        for j, row in new_probs.items():
+            self.probs[j] = row[0] if len(row) == 1 else np.concatenate(row)
             row.clear()
         self.steps_taken += 1
 
     def log_moments(self, lams, bases) -> np.ndarray:
-        """ln E[(1 + e^D)^lam] per row, with D the accumulated sum of basis
-        steps; row j has tilt lams[j] and basis magnitudes bases[j].  States
-        are decoded in near-equal slices of at least TILE_CANDIDATES numbers:
-        a slice of one state would take numpy's dot path, whose sum can
-        differ in the last bit from the matrix-vector product's."""
+        """ln E[(1 + e^D)^lam] per row (nan for a stopped row), with D the
+        accumulated sum of basis steps; row j has tilt lams[j] and basis
+        magnitudes bases[j].  States are decoded in near-equal slices of at
+        least TILE_CANDIDATES numbers: a slice of one state would take
+        numpy's dot path, whose sum can differ in the last bit from the
+        matrix-vector product's."""
         vals = np.zeros((len(bases), _KEY_DIMS))
         for v, basis in zip(vals, bases):
             v[: len(basis)] = basis
@@ -484,9 +537,10 @@ class _LatticeState:
                 ).astype(np.int64) - _KEY_OFF
             for d, v in zip(sums, vals):
                 d[part] = coords @ v
-        out = np.empty(len(lams))
+        out = np.full(len(lams), math.nan)
         for j, (row, lam, d) in enumerate(zip(self.probs, lams, sums)):
-            out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, d))
+            if row is not None:
+                out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, d))
         return out
 
 
@@ -514,14 +568,15 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
     and tilted, sorted laws agree byte for byte at every step are twins:
     the first gets a row, each later one takes its value (and its error)
     after the walk, which the same numpy calls on the same bytes would give.
-    A step's keys, sort permutation and group ids depend only on its sorted
-    encoded moves, never on the probabilities.  So the members whose sorted
-    moves agree at every step share one _LatticeState with a row each, in
-    chunks of at most one law's entry count (a chunk's rows hold no more
-    numbers than one step's product), and each row is summed exactly as a
-    lattice of its own would sum it.  A member that fails gets its error in
-    errors under its index and nan as its value; its row turns nan, which
-    later steps carry without a warning.
+    A step's new keys and the group ids of each step's run of source states
+    depend only on its distinct encoded steps, never on the probabilities
+    or on how many entries take each step.  So the members whose distinct
+    steps agree at every step share one _LatticeState with a row each, in
+    chunks of at most the fewest entries any of their laws has (a chunk's
+    rows hold no more numbers than one step's product), and each row is
+    summed exactly as a lattice of its own would sum it.  A member that
+    fails gets its error in errors under its index and nan as its value;
+    its row stops, and the other rows of its state go on.
     """
     encoded, plans, groups, first_of, twins = {}, [], {}, {}, {}
     for i, (laws, lam) in enumerate(members):
@@ -531,8 +586,7 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
                 key = (id(law), lam, basis)
                 if key not in encoded:
                     encoded[key] = _encode_law(law, lam, basis)
-                lz1, enc, q, basis = encoded[key]
-                mine[id(law)] = lz1, enc, q
+                *mine[id(law)], basis = encoded[key]
         # checked before any step: at d < 1 the unstepped state is decoded
         if len(basis) > _KEY_DIMS:
             errors[i] = SupportBlowupError(
@@ -541,15 +595,15 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
             break
         steps = [mine[id(law)] for law in laws]
         plans.append((lam, basis, steps))
-        twin = (lam, basis, tuple((lz1, enc.tobytes(), q.tobytes()) for lz1, enc, q in steps))
+        twin = (lam, basis, tuple((lz1, st.tobytes(), ly, q.tobytes()) for lz1, st, ly, q in steps))
         if twin in first_of:
             twins[i] = first_of[twin]
         else:
             first_of[twin] = i
-            groups.setdefault(tuple(enc.tobytes() for _, enc, _ in steps), []).append(i)
+            groups.setdefault(tuple(st.tobytes() for _, st, _, _ in steps), []).append(i)
     values = np.full(len(members), math.nan)
     for group in groups.values():
-        size = min(len(enc) for _, enc, _ in plans[group[0]][2])
+        size = min(len(lay) for i in group for _, _, lay, _ in plans[i][2])
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
             lams, bases, steps = zip(*(plans[i] for i in chunk))
@@ -560,22 +614,28 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
             def term(n_clauses: int) -> np.ndarray:
                 nonlocal lz_sum
                 for s in range(state.steps_taken, n_clauses):
-                    state.step(steps[0][s][1], [st[s][2] for st in steps])
+                    state.step(
+                        steps[0][s][1], [st[s][2] for st in steps], [st[s][3] for st in steps]
+                    )
                     lz_sum = lz_sum + [st[s][0] for st in steps]
                     for j, row in enumerate(state.probs):
-                        if row.min() < _TINY:
-                            row.fill(math.nan)
-                            errors[chunk[j]] = SupportBlowupError(
+                        if row is not None and row.min() < _TINY:
+                            state.stop(j, SupportBlowupError(
                                 f"a lattice state probability underflows float64 at product "
                                 f"step {s + 1} (lam = {float(lams[j])!r}): beta is too large "
                                 f"for the exact lattice"
-                            )
+                            ))
                 return (lz_sum + state.log_moments(lams, bases)) / lams
 
             try:
                 values[chunk] = _in_d(term, d)
             except SupportBlowupError as exc:
-                errors.setdefault(chunk[0], exc)
+                # the product-step limit stops every row still going
+                for j, row in enumerate(state.probs):
+                    if row is not None:
+                        state.stop(j, exc)
+            for j, exc in state.errors.items():
+                errors[chunk[j]] = exc
     for i, j in twins.items():
         values[i] = values[j]
         if j in errors:

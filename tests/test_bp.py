@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcsp import bp
 from rcsp.bp import (
     MAX_K,
     BpFixedPoint,
@@ -22,6 +23,7 @@ from rcsp.bp import (
     psi_hat,
     solve_fixed_point,
 )
+from rcsp.cli import main
 
 
 def test_params_validation():
@@ -147,6 +149,39 @@ def test_fixed_point_solver_options():
     # a tol below the float spacing stops at adjacent floats
     a, b = solve_fixed_point(p, tol=1e-300, check=False).bracket
     assert math.nextafter(a, 1.0) == b
+
+
+def _swap_ends(params, x):
+    """psi's signs at the ends, but iteration jumps between them forever."""
+    lo, hi = bp._domain(params.k)
+    return lo + hi - x
+
+
+def _middle(params, x):
+    """psi's signs at the ends, but iteration settles at the middle."""
+    lo, hi = bp._domain(params.k)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    (
+        (_swap_ends, "fixed-point iteration did not converge"),
+        # at (3, 7) the bisection, which never calls psi, finds x = 0.45660
+        (_middle, "fixed-point iteration disagrees with bisection by 1.910e-02 > 10*tol; "
+                  "uniqueness witness failed"),
+    ),
+    ids=("no-convergence", "uniqueness"),
+)
+def test_fixed_point_witness_failures(monkeypatch, capsys, fake, message):
+    monkeypatch.setattr(bp, "psi", fake)
+    with pytest.raises(RuntimeError) as exc:
+        solve_fixed_point(ModelParams(3, 7))
+    assert str(exc.value) == message
+    # the CLI gives up with one line and exit code 2
+    assert main(["fixpoint", "--k", "3", "--d", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"rcsp: computation failed: {message}\n"
 
 
 def test_bracket_error_below_window():

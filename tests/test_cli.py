@@ -87,6 +87,18 @@ def test_dstar_no_bracket_exit_2(capsys, monkeypatch):
     assert "at the window's upper end, expected < 0" in err
 
 
+def test_interp_over_budget_line(capsys):
+    # one beta inside the certified k = 5 window exceeds the product budget
+    code, out, err = run(
+        capsys, "interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "rcsp: computation failed: product of 746241 states and 15 law entries "
+        "exceeds 10000000\n"
+    )
+
+
 def test_phi_explicit_x(capsys):
     code, out, _ = run(capsys, "phi", "--k", "3", "--d", "7.4", "--x", "0.45")
     assert code == 0

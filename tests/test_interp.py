@@ -422,8 +422,10 @@ def test_literal_invariance_batch_matches_loop(params, beta, lam, asym, n_random
 @pytest.mark.parametrize(
     "params, betas, n_states",
     (
-        # betas 16 and 64 take the same sorted moves at every step, 256 does not
-        pytest.param(ModelParams(4, 20), (16.0, 64.0, 256.0), 2, id="k4-d20"),
+        # beta = 256 takes two fewer no-step entries than 16 and 64, but the
+        # same distinct steps, so one state serves all three
+        pytest.param(ModelParams(4, 20), (16.0, 64.0, 256.0), 1, id="k4-d20"),
+        pytest.param(ModelParams(4, 22), (16.0, 64.0, 256.0), 1, id="k4-d22"),
         pytest.param(ModelParams(3, 7.4), (0.25, 4.0, 16.0, 64.0, 256.0), None, id="k3-d7.4"),
     ),
 )
@@ -544,6 +546,25 @@ def test_batch_raises_the_lowest_members_budget_error(monkeypatch):
     with pytest.raises(SupportBlowupError) as exc:
         beta_scaling_scan(params, [16.0, 64.0, 256.0])
     assert str(exc.value) == "product of 231 states and 10 law entries exceeds 2000"
+    # in one state each row stops at its own budget, and a twin of a failing
+    # member gets its error
+    seen = []
+    terms = interp._lattice_terms
+
+    def recorded(members, d, errors):
+        values = terms(members, d, errors)
+        seen.append({i: str(exc) for i, exc in errors.items()})
+        return values
+
+    monkeypatch.setattr(interp, "_lattice_terms", recorded)
+    built = _count_rows(monkeypatch)
+    with pytest.raises(SupportBlowupError):
+        beta_scaling_scan(params, [256.0, 16.0, 256.0, 16.0])
+    assert built == [2]
+    assert seen == [{0: "product of 377 states and 8 law entries exceeds 2000",
+                     1: "product of 231 states and 10 law entries exceeds 2000",
+                     2: "product of 377 states and 8 law entries exceeds 2000",
+                     3: "product of 231 states and 10 law entries exceeds 2000"}]
 
 
 def test_functional_underflow_raises():
@@ -564,14 +585,14 @@ def test_literal_invariance_memory_does_not_grow_with_members(monkeypatch):
     step = interp._LatticeState.step
     products, peaks = [], []
 
-    def traced(self, enc, qs):
-        products.append(len(self.keys) * len(enc))
+    def traced(self, steps, layouts, qs):
+        products.append(len(self.keys) * max(map(len, layouts)))
         # what the state holds at its peak: its arrays at the start, plus
         # the step's growth above the start
         held = self.keys.nbytes + sum(row.nbytes for row in self.probs)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        step(self, enc, qs)
+        step(self, steps, layouts, qs)
         peaks.append(held + tracemalloc.get_traced_memory()[1] - start)
 
     monkeypatch.setattr(interp._LatticeState, "step", traced)
@@ -691,7 +712,8 @@ def test_beta_scan_row_scales_p():
 def lattice_walks(draw):
     """1-4 step directions, 1-6 product steps and 1-4 members.  Each law entry
     moves one unit along a direction (dim -1: no step), so encoded steps
-    repeat often; at each step the members share the moves, each member in
+    repeat often; at each step the members share the distinct moves, each
+    member with its own extra repeats of them (so its own entry count), in
     its own entry order and with its own q."""
     n_dims = draw(st.integers(1, 4))
     n_members = draw(st.integers(1, 4))
@@ -701,9 +723,10 @@ def lattice_walks(draw):
         moves = draw(st.lists(entry, min_size=1, max_size=6))
         members = []
         for _ in range(n_members):
-            order = draw(st.permutations(range(len(moves))))
-            q = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(moves), max_size=len(moves)))
-            members.append((q, [moves[i] for i in order]))
+            own = moves + draw(st.lists(st.sampled_from(moves), max_size=3))
+            order = draw(st.permutations(range(len(own))))
+            q = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(own), max_size=len(own)))
+            members.append((q, [own[i] for i in order]))
         steps.append(members)
     return n_members, steps
 
@@ -712,10 +735,10 @@ def _walk(steps, n_members=1):
     """The lattice state after steps, each a list of one (q, moves) per member."""
     state = interp._LatticeState(n_members)
     for members in steps:
-        runs = [interp._sort_moves(np.array(q), moves) for q, moves in members]
-        for enc, _ in runs:
-            assert enc.tolist() == runs[0][0].tolist()
-        state.step(runs[0][0], [q for _, q in runs])
+        sorted_moves = [interp._sort_moves(np.array(q), moves) for q, moves in members]
+        for distinct, _, _ in sorted_moves:
+            assert distinct.tolist() == sorted_moves[0][0].tolist()
+        state.step(sorted_moves[0][0], *zip(*(m[1:] for m in sorted_moves)))
     return state
 
 
@@ -757,39 +780,42 @@ def test_lattice_step_limit():
     # is refused and leaves the state as it was
     state = _walk([[([1.0], [(0, 1)])]] * 62)
     assert state.keys.tolist() == [62] and state.probs[0].tolist() == [1.0]
-    enc, q = interp._sort_moves(np.ones(1), [(0, 1)])
+    steps, layout, q = interp._sort_moves(np.ones(1), [(0, 1)])
     with pytest.raises(SupportBlowupError, match="more than 62 product steps"):
-        state.step(enc, [q])
+        state.step(steps, [layout], [q])
     assert state.steps_taken == 62 and state.keys.tolist() == [62]
 
 
 def test_lattice_step_checks_budget_before_building(monkeypatch):
     n_states, n_entries = 20_000, 200
     product_bytes = 8 * n_states * n_entries  # one array of the product
-    enc, q = interp._sort_moves(np.full(n_entries, 1.0 / n_entries), [(0, 1)] * n_entries)
+    steps, layout, q = interp._sort_moves(
+        np.full(n_entries, 1.0 / n_entries), [(0, 1)] * n_entries
+    )
 
     def traced_step(limit):
-        """(state, traced peak bytes, SupportBlowupError or None) of one step."""
+        """(state, traced peak bytes, the row's SupportBlowupError or None) of one step."""
         monkeypatch.setattr(interp, "MAX_PRODUCT_STATES", limit)
         state = _walk([])
         state.keys = np.arange(n_states, dtype=np.int64)
         state.probs = [np.full(n_states, 1.0 / n_states)]
-        error = None
         tracemalloc.start()
-        try:
-            state.step(enc, [q])
-        except SupportBlowupError as exc:
-            error = exc
+        state.step(steps, [layout], [q])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        return state, peak, error
+        return state, peak, state.errors.get(0)
 
     # within the budget the step holds tiles, never an array of the product
     state, peak, error = traced_step(n_states * n_entries)
     assert error is None and peak < product_bytes // 4
     assert state.steps_taken == 1 and len(state.keys) == n_states
-    # past it the step raises before allocating a row of states
+    # past it the row stops before a row of states is allocated, and with
+    # no row left the state is not stepped
     state, peak, error = traced_step(n_states * n_entries - 1)
-    assert "exceeds" in str(error)
+    assert str(error) == (
+        f"product of {n_states} states and {n_entries} law entries exceeds "
+        f"{n_states * n_entries - 1}"
+    )
     assert peak < 8 * n_states
+    assert state.probs == [None]
     assert state.steps_taken == 0 and len(state.keys) == n_states
