@@ -45,7 +45,6 @@ __all__ = [
 # O((km)^2) big-integer operations: 0.4 s at k = 3, m = 1000 and 1.6 s at
 # k = 20, m = 150, against 2.6 s at k = 3, m = 2000 (Python 3.11, one core).
 SLOT_LIMIT = 3000
-LAMBDA_LIMIT = 50.0
 
 
 @dataclass(frozen=True)
@@ -207,11 +206,15 @@ def _tilted_mean(k: int, gamma: float, lam: float) -> float:
 def lagrange_lambda(gamma: float, k: int, tol: float = 1e-12) -> float:
     """Solve E[X] = k*gamma for the tilt, by bisection on the tilted mean.
 
-    The mean is strictly increasing in the tilt, so a sign-changing bracket
-    pins the root; the bracket is grown geometrically from [-1, 1] and the
-    solve is abandoned past |lambda| = 50.  Bisection stops at width tol or
-    at adjacent floats, whichever comes first.
+    The mean is strictly increasing in the tilt, so the sign-changing
+    bracket [-1, 1] pins the root: it holds for every k >= 3 on the band
+    |gamma - 1/2| <= 0.1 (its smallest margin is 0.003, at k = 3 and
+    gamma = 0.4).  At k = 2 the tilted law is the one entry X = 1, whose
+    mean never moves.  Bisection stops at width tol or at adjacent floats,
+    whichever comes first.
     """
+    if k < 3:
+        raise ValueError(f"the tilted clause law needs k >= 3, got k = {k}")
     if abs(gamma - 0.5) > 0.1 + 1e-15:
         raise ValueError(f"gamma = {gamma} outside the supported band |gamma - 1/2| <= 0.1")
     if not tol > 0:
@@ -223,16 +226,9 @@ def lagrange_lambda(gamma: float, k: int, tol: float = 1e-12) -> float:
     def short(lam: float) -> float:
         return _tilted_mean(k, gamma, lam) - target
 
-    lo, hi = -1.0, 1.0
-    while short(lo) > 0.0:
-        lo *= 2.0
-        if lo < -LAMBDA_LIMIT:
-            raise ValueError(f"no bracket with lambda >= -{LAMBDA_LIMIT}")
-    while short(hi) < 0.0:
-        hi *= 2.0
-        if hi > LAMBDA_LIMIT:
-            raise ValueError(f"no bracket with lambda <= {LAMBDA_LIMIT}")
-    lo, hi = _bisect(lambda mid: short(mid) < 0.0, lo, hi, tol)
+    if short(-1.0) > 0.0 or short(1.0) < 0.0:
+        raise ValueError(f"no bracket in [-1, 1] for gamma = {gamma}, k = {k}")
+    lo, hi = _bisect(lambda mid: short(mid) < 0.0, -1.0, 1.0, tol)
     return 0.5 * (lo + hi)
 
 

@@ -34,41 +34,42 @@ range in tiles cut at every stride-th state key moved by the largest step.
 For each step the source states landing in one tile form one slice, which
 a single np.searchsorted finds for every tile and step, so a tile holds
 about TILE_CANDIDATES (state, entry) candidates and no array holds states x
-entries numbers.  A tile lays its candidates out entry by entry, each
-entry's source states ascending; a sort of the tile's keys numbers its
-distinct keys, np.bincount sums the terms of each key in that layout
-order, and the tiles are concatenated in key order.  A key's terms all
-land in one tile, and within it they arrive in entry order, which is
-ascending order of their source state (the steps descend), and for one
-source state in entry order.  That is the order in which the state-major
-product (state i, then entry j), reduced by np.unique and np.bincount, adds
-them, so both give the same probabilities to the last bit at every tile
-size.  Neither np.add.reduceat (pairwise summation) nor pre-merging entries
-that share a step (p*(qa + qb) is not p*qa + p*qb in floats) keeps that
-order.
+entries numbers.  A tile lays out one run per distinct step, its source
+states ascending, and a sort of those keys numbers the tile's distinct
+keys.  Each law then lays its terms out entry by entry, every entry
+reading the group ids of its step's run, np.bincount sums the terms of
+each key in that layout order, and the tiles are concatenated in key
+order.  A key's terms all land in one tile, and within it they arrive in
+entry order, which is ascending order of their source state (the steps
+descend), and for one source state in entry order.  That is the order in
+which the state-major product (state i, then entry j), reduced by np.unique
+and np.bincount, adds them, so both give the same probabilities to the
+last bit at every tile size.  Neither np.add.reduceat (pairwise summation)
+nor pre-merging entries that share a step (p*(qa + qb) is not p*qa + p*qb
+in floats) keeps that order.
 
-The new keys are the union of the keys moved by each distinct step, so
-the tiles, the merged keys and the group ids of each step's run of source
-states depend only on the distinct encoded steps, never on the
-probabilities or on how many entries share a step.  Evaluations whose
-distinct steps agree at every product step (the literal classes of
-literal_invariance_check, the betas of one scan, whose laws differ in how
-many entries take no step) share one plan per tile: the runs of their
-entry list when all have the same one, else one run per distinct step.
-Each member's weights are laid out in its own entry order, every entry
-reading the group ids of its step's run, and np.bincount sums them exactly
-as a lattice of its own would, so every value is the same float.  The
-keys are built and sorted once per step for all of them.  Members
-whose tilted, sorted laws agree byte for byte at every step (and in lam
-and the basis magnitudes) are twins and share one row, which the same
-numpy calls on the same bytes fill alike.  L and ~L share their clause
-laws, so they always are twins, and the literal classes of a symmetric eta
-mostly are: the 17 members of the check at k = 4, d = 20 with one mixed
-assignment take 3 rows.
-A state probability below the smallest normal float64 raises
-SupportBlowupError: at large beta the tilted states underflow, and
-dropping them changed the value (at k = 3, d = 4, beta = 65536 the
-lattice read 33.62 where the uncompressed product gives 44.02).
+So the tiles, the merged keys and the group ids depend only on the
+distinct encoded steps, never on the probabilities or on how many entries
+share a step.  Evaluations whose distinct steps agree at every product
+step (the literal classes of literal_invariance_check, the betas of one
+scan, whose laws differ in how many entries take no step) share one
+_LatticeState, with a row each: its keys are built and sorted once per
+step for all of them, and each row is summed exactly as a lattice of its
+own would sum it, so every value is the same float.  Members whose tilted,
+sorted laws agree byte for byte at every step (and in lam and the basis
+magnitudes) are twins and share one row, which the same numpy calls on the
+same bytes fill alike.  L and ~L share their clause laws, so they always
+are twins, and the literal classes of a symmetric eta mostly are: the 17
+members of the check at k = 4, d = 20 with one mixed assignment take 3
+rows.
+
+A row stops with SupportBlowupError when a state probability of it falls
+below the smallest normal float64: at large beta the tilted states
+underflow, and dropping them changed the value (at k = 3, d = 4,
+beta = 65536 the lattice read 33.62 where the uncompressed product gives
+44.02).  It stops too when its product passes MAX_PRODUCT_STATES, and
+when a step that moves a key follows 62 that did, which could overflow a
+key field.
 """
 
 from __future__ import annotations
@@ -289,10 +290,7 @@ def _log_u(lp: float, beta: float) -> float:
         return 0.0
     if lp >= 0.0:
         return -beta
-    om = -math.expm1(lp)
-    if om == 0.0:
-        return -beta + lp
-    return float(np.logaddexp(math.log(om), -beta + lp))
+    return float(np.logaddexp(math.log(-math.expm1(lp)), -beta + lp))
 
 
 def _draws(eta: AtomicMeasure, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,41 +400,60 @@ def _sort_moves(q: np.ndarray, moves) -> tuple[np.ndarray, tuple[int, ...], np.n
 
 
 class _LatticeState:
-    """Product-law states: packed signed step counts -> one probability row per member.
+    """A walk of product-law states: packed signed step counts -> one
+    probability row per member, with its tilt lams[j], its basis
+    magnitudes bases[j] and its running sum of ln Z1.
 
     A key is sum_r m_r 2^(7r) with step counts |m_r| <= 62; adding the
     constant base sum_r 63*2^(7r) makes every 7-bit field the digit
     m_r + 63 in [1, 125], so distinct count vectors give distinct keys and
     decoding is field extraction.  keys stay sorted and unique, and step
-    sums tile by tile in the order the module docstring derives, after
-    checking each row's product against MAX_PRODUCT_STATES and before
-    allocating anything.  A row that fails stops: its probs turn None and
-    errors holds its SupportBlowupError under its index.
+    sums tile by tile in the order the module docstring derives.  step
+    decides every row stop: a row stops when its product passes
+    MAX_PRODUCT_STATES (checked before allocating anything), when a step
+    that moves follows 62 that did (a field could then overflow; steps
+    that move no key never can), and when a state probability of its new
+    row underflows float64.  A stopped row's probs turn None and errors
+    holds its SupportBlowupError under its index; the other rows go on.
     """
 
-    def __init__(self, n_rows: int) -> None:
+    def __init__(self, lams, bases) -> None:
+        self.lams, self.bases = np.array(lams), bases
         self.keys = np.array([0], dtype=np.int64)
-        self.probs = [np.ones(1) for _ in range(n_rows)]
+        self.probs = [np.ones(1) for _ in bases]
+        self.lz_sums = np.zeros(len(bases))
         self.errors: dict[int, SupportBlowupError] = {}
         self.steps_taken = 0
+        self.moving_steps = 0
 
     def stop(self, j: int, error: SupportBlowupError) -> None:
         self.probs[j] = None
         self.errors[j] = error
 
+    def value(self, n_clauses: int, laws) -> np.ndarray:
+        """(sum of ln Z1 + ln E[(1 + e^D)^lam]) / lam per row after n_clauses
+        product steps, nan for a stopped row, stepping on from steps_taken.
+        laws[j][s] is row j's encoded law (ln Z1, steps, layout, q) at step s."""
+        for s in range(self.steps_taken, n_clauses):
+            self.step(laws[0][s][1], [law[s][2] for law in laws], [law[s][3] for law in laws])
+            self.lz_sums = self.lz_sums + [law[s][0] for law in laws]
+        return (self.lz_sums + self.log_moments()) / self.lams
+
     def step(self, steps: np.ndarray, layouts, qs) -> None:
         """Convolve each live row with its clause law.  steps are the laws'
         common distinct encoded steps in descending order; row j's law has
         one entry per item of layouts[j], that entry's index in steps
-        (ascending), with probability qs[j][e].  A row whose states times
-        entries exceed MAX_PRODUCT_STATES stops; the others go on."""
-        if self.steps_taken >= _KEY_OFF - 1:
-            raise SupportBlowupError(f"more than {_KEY_OFF - 1} product steps")
+        (ascending), with probability qs[j][e].  Rows stop as the class
+        docstring says; if none is left the state is not stepped."""
         keys, rows = self.keys, {}  # the live rows by layout
+        moves = steps.tolist()
+        moving = any(moves)
         for j, (layout, row) in enumerate(zip(layouts, self.probs)):
             if row is None:
                 continue
-            if len(keys) * len(layout) > MAX_PRODUCT_STATES:
+            if moving and self.moving_steps >= _KEY_OFF - 1:
+                self.stop(j, SupportBlowupError(f"more than {_KEY_OFF - 1} product steps"))
+            elif len(keys) * len(layout) > MAX_PRODUCT_STATES:
                 self.stop(j, SupportBlowupError(
                     f"product of {len(keys)} states and {len(layout)} law entries "
                     f"exceeds {MAX_PRODUCT_STATES}"
@@ -445,12 +462,6 @@ class _LatticeState:
                 rows.setdefault(layout, []).append(j)
         if not rows:
             return
-        # the plan, whose keys each tile sorts and numbers: the rows' one
-        # layout, or else one run per distinct step, whose group ids every
-        # layout reads
-        plan = next(iter(rows)) if len(rows) == 1 else tuple(range(len(steps)))
-        rows = {plan: [], **rows}
-        moves = steps.tolist()
         q_rows = {j: qs[j].tolist() for js in rows.values() for j in js}
         # Tiles of new keys, cut at every stride-th state key moved by the
         # largest step, so that step puts stride states in each tile and no
@@ -465,38 +476,38 @@ class _LatticeState:
         new_keys, new_probs = [], {j: [] for j in q_rows}
         for lo, hi in zip(bounds, bounds[1:]):
             src = list(map(slice, lo, hi))
+            # one run per distinct step, its source states ascending
+            ends = list(itertools.accumulate(h - l for l, h in zip(lo, hi)))
+            runs = list(map(slice, [0, *ends], ends))
+            tile_keys = np.empty(ends[-1], dtype=np.int64)
+            for r, out in enumerate(runs):
+                np.add(keys[src[r]], moves[r], out=tile_keys[out])
+            # run_gid: each candidate's rank among the tile's distinct keys;
+            # any sort gives the same ranks, and timsort merges the runs fastest
+            perm = np.argsort(tile_keys, kind="stable")
+            sorted_keys = tile_keys[perm]
+            starts = np.flatnonzero(
+                np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+            )
+            new_keys.append(sorted_keys[starts])
+            # each key's candidate count (np.diff with append= costs more than
+            # a small step's sort)
+            counts = np.empty_like(starts)
+            np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+            counts[-1] = len(perm) - starts[-1]
+            run_gid = np.empty(len(perm), dtype=np.intp)
+            run_gid[perm] = np.repeat(np.arange(len(starts)), counts)
+            del tile_keys, perm, sorted_keys, counts
             for layout, js in rows.items():
-                # a layout's candidates entry by entry, each entry's source
-                # states ascending: dst holds each entry's place in the tile
+                # a layout's candidates entry by entry, each entry reading
+                # its step's run: dst holds each entry's place in the tile.
+                # Every layout takes each step, so one entry per step is the
+                # runs' own layout.
                 ends = list(itertools.accumulate(hi[r] - lo[r] for r in layout))
                 dst = list(map(slice, [0, *ends], ends))
-                if layout is plan:
-                    tile_keys = np.empty(ends[-1], dtype=np.int64)
-                    for r, out in zip(layout, dst):
-                        np.add(keys[src[r]], moves[r], out=tile_keys[out])
-                    # gid: each candidate's rank among the tile's distinct
-                    # keys; any sort gives the same ranks, and timsort merges
-                    # the runs fastest
-                    perm = np.argsort(tile_keys, kind="stable")
-                    sorted_keys = tile_keys[perm]
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-                    )
-                    new_keys.append(sorted_keys[starts])
-                    # each key's candidate count (np.diff with append= costs
-                    # more than a small step's sort)
-                    counts = np.empty_like(starts)
-                    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-                    counts[-1] = len(perm) - starts[-1]
-                    plan_gid = np.empty(len(perm), dtype=np.intp)
-                    plan_gid[perm] = np.repeat(np.arange(len(starts)), counts)
-                    del tile_keys, perm, sorted_keys, counts
-                    gid, run_of = plan_gid, dict(zip(layout, dst))
-                else:
-                    # each entry reads the group ids of its step's plan run
-                    gid = np.concatenate([plan_gid[run_of[r]] for r in layout])
-                if not js:
-                    continue
+                gid = run_gid if len(layout) == len(steps) else np.concatenate(
+                    [run_gid[runs[r]] for r in layout]
+                )
                 weights = np.empty(len(gid))
                 for j in js:
                     old = self.probs[j]
@@ -511,15 +522,22 @@ class _LatticeState:
         for j, row in new_probs.items():
             self.probs[j] = row[0] if len(row) == 1 else np.concatenate(row)
             row.clear()
+            if self.probs[j].min() < _TINY:
+                self.stop(j, SupportBlowupError(
+                    f"a lattice state probability underflows float64 at product step "
+                    f"{self.steps_taken + 1} (lam = {float(self.lams[j])!r}): beta is too "
+                    f"large for the exact lattice"
+                ))
         self.steps_taken += 1
+        self.moving_steps += moving
 
-    def log_moments(self, lams, bases) -> np.ndarray:
+    def log_moments(self) -> np.ndarray:
         """ln E[(1 + e^D)^lam] per row (nan for a stopped row), with D the
-        accumulated sum of basis steps; row j has tilt lams[j] and basis
-        magnitudes bases[j].  States are decoded in near-equal slices of at
-        least TILE_CANDIDATES numbers: a slice of one state would take
-        numpy's dot path, whose sum can differ in the last bit from the
-        matrix-vector product's."""
+        accumulated sum of basis steps.  States are decoded in near-equal
+        slices of at least TILE_CANDIDATES numbers: a slice of one state
+        would take numpy's dot path, whose sum can differ in the last bit
+        from the matrix-vector product's."""
+        bases = self.bases
         vals = np.zeros((len(bases), _KEY_DIMS))
         for v, basis in zip(vals, bases):
             v[: len(basis)] = basis
@@ -537,8 +555,8 @@ class _LatticeState:
                 ).astype(np.int64) - _KEY_OFF
             for d, v in zip(sums, vals):
                 d[part] = coords @ v
-        out = np.full(len(lams), math.nan)
-        for j, (row, lam, d) in enumerate(zip(self.probs, lams, sums)):
+        out = np.full(len(bases), math.nan)
+        for j, (row, lam, d) in enumerate(zip(self.probs, self.lams, sums)):
             if row is not None:
                 out[j] = _logsumexp(np.log(row) + lam * np.logaddexp(0.0, d))
         return out
@@ -574,9 +592,9 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
     steps agree at every step share one _LatticeState with a row each, in
     chunks of at most the fewest entries any of their laws has (a chunk's
     rows hold no more numbers than one step's product), and each row is
-    summed exactly as a lattice of its own would sum it.  A member that
-    fails gets its error in errors under its index and nan as its value;
-    its row stops, and the other rows of its state go on.
+    summed exactly as a lattice of its own would sum it.  A member whose
+    row stops (see _LatticeState) gets its error in errors under its index
+    and nan as its value; the other rows of its state go on.
     """
     encoded, plans, groups, first_of, twins = {}, [], {}, {}, {}
     for i, (laws, lam) in enumerate(members):
@@ -606,34 +624,9 @@ def _lattice_terms(members, d: float, errors: dict) -> np.ndarray:
         size = min(len(lay) for i in group for _, _, lay, _ in plans[i][2])
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            lams, bases, steps = zip(*(plans[i] for i in chunk))
-            lams = np.array(lams)
-            state = _LatticeState(len(chunk))
-            lz_sum = np.zeros(len(chunk))
-
-            def term(n_clauses: int) -> np.ndarray:
-                nonlocal lz_sum
-                for s in range(state.steps_taken, n_clauses):
-                    state.step(
-                        steps[0][s][1], [st[s][2] for st in steps], [st[s][3] for st in steps]
-                    )
-                    lz_sum = lz_sum + [st[s][0] for st in steps]
-                    for j, row in enumerate(state.probs):
-                        if row is not None and row.min() < _TINY:
-                            state.stop(j, SupportBlowupError(
-                                f"a lattice state probability underflows float64 at product "
-                                f"step {s + 1} (lam = {float(lams[j])!r}): beta is too large "
-                                f"for the exact lattice"
-                            ))
-                return (lz_sum + state.log_moments(lams, bases)) / lams
-
-            try:
-                values[chunk] = _in_d(term, d)
-            except SupportBlowupError as exc:
-                # the product-step limit stops every row still going
-                for j, row in enumerate(state.probs):
-                    if row is not None:
-                        state.stop(j, exc)
+            lams, bases, walks = zip(*(plans[i] for i in chunk))
+            state = _LatticeState(lams, bases)
+            values[chunk] = _in_d(lambda n: state.value(n, walks), d)
             for j, exc in state.errors.items():
                 errors[chunk[j]] = exc
     for i, j in twins.items():

@@ -152,6 +152,14 @@ def test_interp_scan_rows(capsys):
     assert float(rows[1]["lambda"]) == 0.5
 
 
+def test_interp_beta_zero_past_the_key_field(capsys):
+    # at beta = 0 the measure is the point mass on 1/2, whose walk never
+    # moves a key, so 130 product steps run
+    code, out, err = run(capsys, "interp", "--k", "6", "--d", "130", "--betas", "0")
+    assert (code, err) == (0, "")
+    assert float(rows_of(out)[0]["P"]) == math.log(2.0)
+
+
 def test_firstmo_csv(capsys):
     code, out, _ = run(capsys, "firstmo", "--k", "3", "--d", "3", "--n", "3")
     assert code == 0

@@ -155,13 +155,12 @@ def test_lagrange_lambda_values():
     )
 
 
-def test_lagrange_lambda_gives_up_past_the_limit():
+def test_lagrange_lambda_rejects_k_below_3():
     # at k = 2 the tilted law has the one entry j = 1, so its mean is 1 at
-    # every tilt and never reaches k * gamma: the bracket grows past the limit
-    with pytest.raises(ValueError, match=r"^no bracket with lambda >= -50\.0$"):
-        lagrange_lambda(0.45, 2)
-    with pytest.raises(ValueError, match=r"^no bracket with lambda <= 50\.0$"):
-        lagrange_lambda(0.55, 2)
+    # every tilt and never reaches k * gamma: k is refused up front
+    for gamma in (0.45, 0.55):
+        with pytest.raises(ValueError, match=r"^the tilted clause law needs k >= 3, got k = 2$"):
+            lagrange_lambda(gamma, 2)
 
 
 @pytest.mark.parametrize("gamma", (0.42, 0.47, 0.55, 0.6))

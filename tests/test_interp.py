@@ -159,6 +159,16 @@ def test_functional_point_mass_closed_form(d):
     assert abs(value - expected) < 1e-12
 
 
+@pytest.mark.parametrize("d", (63.0, 100.0))
+def test_functional_point_mass_past_the_key_field(d):
+    # no law entry at the point mass takes a step, so the key never moves and
+    # the walk runs past the 62 moving steps a key field holds
+    k, beta, lam = 3, 16.0, 0.25
+    expected = math.log(2.0) + (d / k) * math.log1p(math.expm1(-beta) * 2.0 ** (1 - k))
+    value = functional_exact(ModelParams(k, d), POINT_HALF, ThetaSpec("coloring", beta), lam)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("d", (7.0, 7.4))
 def test_functional_compressed_matches_reference(d):
     params = ModelParams(3, d)
@@ -359,9 +369,9 @@ def _count_rows(monkeypatch):
     built = []
     init = interp._LatticeState.__init__
 
-    def counted(self, n_rows):
-        built.append(n_rows)
-        init(self, n_rows)
+    def counted(self, lams, bases):
+        built.append(len(lams))
+        init(self, lams, bases)
 
     monkeypatch.setattr(interp._LatticeState, "__init__", counted)
     return built
@@ -733,7 +743,7 @@ def lattice_walks(draw):
 
 def _walk(steps, n_members=1):
     """The lattice state after steps, each a list of one (q, moves) per member."""
-    state = interp._LatticeState(n_members)
+    state = interp._LatticeState([0.5] * n_members, [()] * n_members)
     for members in steps:
         sorted_moves = [interp._sort_moves(np.array(q), moves) for q, moves in members]
         for distinct, _, _ in sorted_moves:
@@ -777,13 +787,17 @@ def test_lattice_step_matches_state_major_sum_bitwise(walk):
 
 def test_lattice_step_limit():
     # 62 unit steps along one direction fill the 7-bit key field; the 63rd
-    # is refused and leaves the state as it was
+    # stops the row and leaves the state as it was
     state = _walk([[([1.0], [(0, 1)])]] * 62)
     assert state.keys.tolist() == [62] and state.probs[0].tolist() == [1.0]
     steps, layout, q = interp._sort_moves(np.ones(1), [(0, 1)])
-    with pytest.raises(SupportBlowupError, match="more than 62 product steps"):
-        state.step(steps, [layout], [q])
+    state.step(steps, [layout], [q])
+    assert str(state.errors[0]) == "more than 62 product steps"
     assert state.steps_taken == 62 and state.keys.tolist() == [62]
+    # steps that move no key never fill a field: 100 of them all run
+    state = _walk([[([0.5, 0.5], [(-1, 1), (-1, -1)])]] * 100)
+    assert state.errors == {} and state.steps_taken == 100
+    assert state.keys.tolist() == [0] and state.probs[0].tolist() == [1.0]
 
 
 def test_lattice_step_checks_budget_before_building(monkeypatch):
