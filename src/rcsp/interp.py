@@ -525,8 +525,8 @@ class _LatticeState:
             if self.probs[j].min() < _TINY:
                 self.stop(j, SupportBlowupError(
                     f"a lattice state probability underflows float64 at product step "
-                    f"{self.steps_taken + 1} (lam = {float(self.lams[j])!r}): beta is too "
-                    f"large for the exact lattice"
+                    f"{self.steps_taken + 1} (lam = {float(self.lams[j])!r}); a large beta "
+                    f"or an atom of near-zero mass can each cause this"
                 ))
         self.steps_taken += 1
         self.moving_steps += moving
@@ -761,7 +761,8 @@ def functional_exact(
     reference product (small d only); the compressed and reference paths
     agree to float accuracy because lattice merging is exact.  Raises
     SupportBlowupError when the product exceeds its budget or a lattice
-    state probability underflows float64 (beta too large).
+    state probability underflows float64 (a large beta or an atom of
+    near-zero mass).
     """
     return _functionals(params, [(eta, spec, lam, literals)], compress=compress)[0]
 

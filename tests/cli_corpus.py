@@ -65,6 +65,9 @@ CASES = (
     ["fixpoint", "--k", "4", "--d", "20", "--format", "json"],
     ["phi", "--k", "4", "--d", "20", "--x", "0.4", "--format", "json"],
     ["certify", "--id", "v0", "--format", "json"],
+    # every computed string of the registry, at 50 and at 80 digits
+    ["certify", "--format", "json"],
+    ["certify", "--digits", "80", "--format", "json"],
     ["interp", "--k", "3", "--d", "7", "--betas", "1,4"],
     ["interp", "--k", "3", "--d", "7.4", "--betas", "2", "--lam", "0.5", "--format", "json"],
     ["firstmo", "--k", "4", "--d", "3", "--n", "4"],
@@ -99,6 +102,7 @@ CASES = (
      "{tmp}/simple.txt", "--max-retries", "-5"],
     ["interp", "--k", "4", "--d", "20", "--betas", "16,16384", "--model", "coloring"],
     ["interp", "--k", "4", "--d", "20", "--betas", "65536", "--lam", "0.00390625"],
+    ["interp", "--k", "3", "--d", "70", "--betas", "1"],
     ["interp", "--k", "3", "--d", "7.4", "--betas", "inf", "--lam", "0.5"],
     ["interp", "--k", "3", "--d", "7.4", "--betas", "nan", "--lam", "0.5"],
     ["interp", "--k", "3", "--d", "7.4", "--betas", "16,inf"],

@@ -295,3 +295,80 @@ def test_threshold_certificate_inconclusive_cases(monkeypatch):
     open_claims = [e for e in rep.enclosures if e.status == "open"]
     assert [e.claim for e in open_claims] == ["phi_star(36900) > 0", "phi_star(36901) < 0"]
     assert all(e.lower == -math.inf and e.upper == math.inf for e in open_claims)
+
+
+# float.hex of each enclosure's (lower, upper) and its status, bit for bit
+THRESHOLD_PINNED = {
+    (13, 36901): (
+        ("0x1.7c6a4bf4157f2p-14", "0x1.7d3fbcebcb347p-14", "proven"),
+        ("-0x1.0051f11a56f5fp-15", "-0x1.fd61e7daccabfp-16", "proven"),
+        ("0x1.a1c4ff2e927edp-8", "0x1.c958eccd5e90cp-8", "proven"),
+        ("0x1.27d24591e85a5p-16", "0x1.27d24591e85a6p-16", "proven"),
+        ("-0x1.30aebfc0362e3p-20", "-0x1.30aebfc0362cbp-20", "proven"),
+        ("-0x1.3ae3309ba15d7p-16", "-0x1.3ad754e6171ecp-16", "proven"),
+    ),
+    (15, 170339): (
+        ("0x1.7ed0e0641523cp-16", "0x1.7f0c6e2dce38fp-16", "proven"),
+        ("-0x1.001567f6003e3p-17", "-0x1.ff3e805c1c7e1p-18", "proven"),
+        ("0x1.1fd760e6fb90ap-9", "0x1.2896100c1ca04p-9", "proven"),
+        ("0x1.eb5a622fbabe4p-19", "0x1.eb5a622fbabeap-19", "proven"),
+        ("-0x1.b55fa919cea91p-22", "-0x1.b55fa919cea3fp-22", "proven"),
+        ("-0x1.1103aa959b42ep-18", "-0x1.1102af31a59bep-18", "proven"),
+    ),
+    (13, 36902): (
+        ("0x1.7c7aaa7fd789fp-14", "0x1.7d378dc74b4d4p-14", "proven"),
+        ("-0x1.0031f63c7eb94p-15", "-0x1.fd81e2399e52dp-16", "proven"),
+        ("0x1.a1c7e52dc6916p-8", "0x1.c93c7f59f524fp-8", "proven"),
+        ("-0x1.30aebfc0362e3p-20", "-0x1.30aebfc0362cbp-20", "refuted"),
+        ("-0x1.4de8219586b6ap-16", "-0x1.4de8219586b6ap-16", "proven"),
+        ("-0x1.3ae26d764dc09p-16", "-0x1.3ad81c46d6226p-16", "proven"),
+    ),
+    (4, 20): (
+        ("0x1.2ec276b858543p-9", "0x1.41f8d96b634dfp-5", "proven"),
+        ("-0x1.695d2704b705fp-6", "-0x1.da5bdddfa06e6p-9", "proven"),
+        ("0x1.91c2810f15fbep-6", "0x1.5181c8640950bp+2", "open"),
+        ("0x1.8e7cad57a5d72p-6", "0x1.8e7cad57a5d72p-6", "proven"),
+        ("-0x1.9026e5bb55712p-9", "-0x1.9026e5bb55712p-9", "proven"),
+        ("-0x1.52a14c1c45a6ep-5", "-0x1.0d90ada51477bp-7", "proven"),
+    ),
+}
+
+
+def _threshold_enclosures():
+    reports = {key: certify_ceil_d_star(*key) for key in THRESHOLD_PINNED}
+    return {
+        key: tuple((e.lower.hex(), e.upper.hex(), e.status) for e in rep.enclosures)
+        for key, rep in reports.items()
+    }
+
+
+def test_threshold_enclosures_pinned_across_precisions():
+    assert _threshold_enclosures() == THRESHOLD_PINNED
+    # work at other precisions in between leaks nothing into the shared contexts
+    verify_all(MAX_DIGITS)
+    evaluate("L_convexity", 80)
+    assert _threshold_enclosures() == THRESHOLD_PINNED
+
+
+def test_interval_contexts_built_once_per_precision(monkeypatch):
+    built = []
+    init = MPIntervalContext.__init__
+
+    def counting_init(ctx):
+        init(ctx)
+        built.append(ctx)
+
+    monkeypatch.setattr(MPIntervalContext, "__init__", counting_init)
+    certificates._interval_context.cache_clear()
+    precs = (mpmath.libmp.dps_to_prec(certificates.DEFAULT_DIGITS), 2 * 13 + 80)
+    passes = []
+    for _ in range(2):
+        start = len(built)
+        verify_all()
+        certify_ceil_d_star(13, 36901)
+        passes.append(len(built) - start)
+    assert passes == [len(precs), 0]
+    # each shared context is one of those built and keeps the prec it is keyed on
+    for prec in precs:
+        iv = certificates._interval_context(prec)
+        assert iv.prec == prec and any(iv is ctx for ctx in built)

@@ -445,6 +445,8 @@ ENDS_CLEANLY = (
     # lattice state probabilities underflow float64
     (["interp", "--k", "4", "--d", "20", "--betas", "16,16384", "--model", "coloring"], 2),
     (["interp", "--k", "4", "--d", "20", "--betas", "65536", "--lam", "0.00390625"], 2),
+    # at beta = 1 too: at d = 70 the atom 1/2 carries mass 9.1e-13
+    (["interp", "--k", "3", "--d", "70", "--betas", "1"], 2),
     # a negative or non-finite beta is bad input, on the --lam path and in a scan
     (["interp", "--k", "3", "--d", "7.4", "--betas", "inf", "--lam", "0.5"], 1),
     (["interp", "--k", "3", "--d", "7.4", "--betas", "nan", "--lam", "0.5"], 1),
