@@ -120,12 +120,12 @@ def degree_window(k: int) -> DegreeWindow:
 def psi_hat(k: int, x):
     """Clause update: x -> (1 - 2 x^(k-1)) / (1 - x^(k-1)).
 
-    Decreasing in x on [0, 1/2].  Polymorphic over float, numpy array,
-    Fraction, and mpmath types (only ring operations and ** are used).
+    Decreasing in x on [0, 1/2].  Polymorphic over float, numpy scalar and
+    array, Fraction, and mpmath types, mpf and iv (only ring operations and
+    ** are used).  A float x != 1 pays one identity test against False.
     """
     xk = x ** (k - 1)
-    hit_one = (xk == 1).any() if isinstance(xk, np.ndarray) else xk == 1
-    if hit_one:
+    if (hit := xk == 1) is not False and np.any(hit):
         raise ValueError("psi_hat undefined at x = 1")
     return (1 - 2 * xk) / (1 - xk)
 
@@ -190,6 +190,14 @@ def _domain(k: int) -> tuple[float, float]:
     return 0.5 - 2.0 ** (-k), 0.5
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a bisection tolerance outside (0, inf).  At tol = inf the
+    bisection would return its starting interval, and the 10*tol uniqueness
+    witness would pass it."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _bisect(keep_low, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Bisect [lo, hi] to width tol or to adjacent floats, whichever comes first.
 
@@ -226,8 +234,7 @@ def solve_fixed_point(
     DERIVATIVE_GRID-point grid.  check=False skips both (phi_star,
     eta_cluster and the certificates' float centres use it).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     k = params.k
     lo, hi = _domain(k)
     g_lo = psi(params, lo) - lo

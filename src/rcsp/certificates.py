@@ -9,11 +9,12 @@ The registry holds the inequalities used by the contraction, bracketing, or
 free-energy-sign analysis.  evaluate builds one of them once, in an interval
 context at 50 to MAX_DIGITS significant digits.  Interval arithmetic
 depends only on the precision, so each interval context is built once per
-precision and shared; every enclosure is still computed afresh.  A
-certificate may bundle several elementary comparisons (a chained inequality,
-a cover of an interval by boxes, a monotone sequence); the reported
-computed/bound/margin always belong to the tightest comparison, and the notes
-field records the rest.
+precision and shared; every enclosure is still computed afresh.  Exact int
+and float operands enter a shared context directly, with the endpoints
+mpmath's generic conversion gives them.  A certificate may bundle several
+elementary comparisons (a chained inequality, a cover of an interval by
+boxes, a monotone sequence); the reported computed/bound/margin always
+belong to the tightest comparison, and the notes field records the rest.
 
 certify_ceil_d_star proves a threshold ceiling by the same rule, on one
 Krawczyk step that encloses the fixed point over a degree box (a point
@@ -30,6 +31,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_float, from_int, round_ceiling, round_floor
 
 from .bp import (
     ModelParams,
@@ -310,12 +312,34 @@ def _status(value, above=None, below=None) -> str:
     return "open"
 
 
+class _ExactOperandContext(MPIntervalContext):
+    """mpmath.iv with a direct conversion of exact int and non-NaN float operands.
+
+    Mixed operations such as 2 * x or 1 - x**2 convert their plain operand
+    each time.  These two kinds skip the generic convert's type tests and
+    sequence unpacking and get its endpoints: from_int or from_float
+    rounded down and up.  Everything else, NaN, bool and numpy scalars
+    included, takes the generic path.
+    """
+
+    def convert(ctx, x):
+        if type(x) is int:
+            make = from_int
+        elif type(x) is float and x == x:
+            make = from_float
+        else:
+            return MPIntervalContext.convert(ctx, x)
+        prec = ctx.prec
+        return ctx.make_mpf((make(x, prec, round_floor), make(x, prec, round_ceiling)))
+
+
 @functools.cache
 def _interval_context(prec: int) -> MPIntervalContext:
     """The mpmath.iv context at prec bits, built once (about 0.2-0.3 ms) and
-    shared.  Only contexts are cached; no caller may change their prec or dps.
+    shared; exact ints and floats enter it directly (_ExactOperandContext).
+    Only contexts are cached; no caller may change their prec or dps.
     """
-    iv = MPIntervalContext()
+    iv = _ExactOperandContext()
     iv.prec = prec
     return iv
 

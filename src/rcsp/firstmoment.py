@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bp import ModelParams, _bisect
+from .bp import ModelParams, _bisect, _check_tol
 from .ensemble import check_size
 
 __all__ = [
@@ -217,8 +217,7 @@ def lagrange_lambda(gamma: float, k: int, tol: float = 1e-12) -> float:
         raise ValueError(f"the tilted clause law needs k >= 3, got k = {k}")
     if abs(gamma - 0.5) > 0.1 + 1e-15:
         raise ValueError(f"gamma = {gamma} outside the supported band |gamma - 1/2| <= 0.1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if gamma == 0.5:
         return 0.0
     target = k * gamma
@@ -267,8 +266,10 @@ def ratio_scan(k: int, d: int, n_list) -> list[FirstMomentReport]:
     reports = []
     for n in n_list:
         m = check_size(n, k, d)
-        nae = ez_nae(n, k, d)
+        # ez_col first: it refuses k*m past SLOT_LIMIT, where ez_nae's exact
+        # powers would outgrow memory (m = 10^30 at k = 2)
         col = ez_col(n, k, d)
+        nae = ez_nae(n, k, d)
         reports.append(
             FirstMomentReport(n=n, m=m, k=k, d=d, ez_nae=nae, ez_col=col, ratio=float(col / nae))
         )

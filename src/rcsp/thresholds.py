@@ -20,6 +20,7 @@ from .bp import (
     DegreeWindow,
     ModelParams,
     _bisect,
+    _check_tol,
     degree_window,
     solve_fixed_point,
 )
@@ -68,21 +69,29 @@ def phi(params: ModelParams, x, ctx=_FLOAT):
     phi = -ln(1-x) - d(1 - 1/k - 1/d) ln(1 - 2 x^k) + (d-1) ln(1 - x^(k-1))
 
     Generic over the arithmetic context.  The default evaluates in floats
-    and requires every log argument positive; x in [0, 1/2] always is.
-    ctx = mpmath with mpf arguments gives a high-precision value, and an
-    mpmath.iv context with interval arguments gives an enclosure.
+    and requires x in [0, 1], a message weight, with every log argument
+    positive (x in [0, 1/2] always is) and a value that is not NaN (an
+    infinite d, or 1/d overflowing, gives one).  ctx = mpmath with mpf
+    arguments gives a high-precision value, and an mpmath.iv context with
+    interval arguments gives an enclosure.
     """
     k, d = params.k, params.d
+    # checked before the powers, which overflow for a float |x| near 1e308
+    if ctx is _FLOAT and not 0 <= x <= 1:
+        raise ValueError(f"phi undefined at x={x}: x is not a message weight in [0, 1]")
     a1 = 1 - x
     a2 = 1 - 2 * x**k
     a3 = 1 - x ** (k - 1)
     if ctx is _FLOAT and not (a1 > 0 and a2 > 0 and a3 > 0):
         raise ValueError(f"phi undefined at x={x}: a log argument is <= 0")
-    return (
+    value = (
         -ctx.log(a1)
         - d * (1 - ctx.mpf(1) / k - 1 / d) * ctx.log(a2)
         + (d - 1) * ctx.log(a3)
     )
+    if ctx is _FLOAT and value != value:
+        raise ValueError(f"phi undefined at x={x}: its float value is nan at d={d}")
+    return value
 
 
 def _dphi_dx(k: int, d, x, ctx=mpmath):
@@ -124,8 +133,7 @@ def d_star(k: int, tol: float = 1e-9) -> ThresholdReport:
     the SCAN_STEPS-cell degree grid finds its one sign change, and that cell
     is bisected to tol or to adjacent floats, whichever comes first.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     window = degree_window(k)
     lo, hi = window.d_lbd, window.d_ubd
     step = (hi - lo) / SCAN_STEPS

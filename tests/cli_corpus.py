@@ -1,12 +1,15 @@
 """The CLI byte corpus: a fixed list of `rcsp` invocations and what each printed.
 
-    PYTHONPATH=src python tests/cli_corpus.py
+    PYTHONPATH=src python tests/cli_corpus.py [--diff]
 
 rewrites tests/cli_corpus.json with the exit code, stdout and stderr of
 every invocation in CASES, run in-process through `rcsp.cli.main`, and
-prints each one's time.  tests/test_cli_corpus.py replays the file and
-compares bytes; it never writes it.  Rewrite the file only for a
-deliberate output change, and list every changed entry with its reason.
+prints each one's time.  With --diff it writes nothing: it prints the argv
+and the changed fields of every invocation whose output differs from the
+file, and the argv of every invocation only one side has, and exits 1 if
+there is any.  tests/test_cli_corpus.py replays the file and compares
+bytes; it never writes it.  Rewrite the file only for a deliberate output
+change, and list every changed entry (--diff shows them) with its reason.
 
 Invocations run in order in one temporary directory, which "{tmp}" in an
 argument names, so `gen` writes the instance files that `solve` and `z`
@@ -17,7 +20,9 @@ host named in its head, as the PINNED tests do.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -93,9 +98,16 @@ CASES = (
     ["fixpoint", "--k", "1100", "--d", "5"],
     ["fixpoint", "--k", "3", "--d", "7", "--tol", "1e-300"],
     ["fixpoint", "--k", "3", "--d", "7", "--tol", "nan"],
+    ["fixpoint", "--k", "3", "--d", "7", "--tol", "inf"],
+    ["dstar", "--k", "3", "--tol", "inf"],
+    ["interp", "--k", "3", "--d", "7.4", "--betas", "16", "--tol", "inf"],
+    ["phi", "--k", "3", "--d", "7", "--x", "-0.5"],
+    ["phi", "--k", "3", "--d", "7", "--x", "1e308"],
+    ["phi", "--k", "3", "--d", "inf", "--x", "0.4"],
     ["firstmo", "--k", "3", "--d", "3", "--n", "0"],
     ["firstmo", "--k", "3", "--d", "0", "--n", "3"],
     ["firstmo", "--k", "3", "--d", "3", "--n", "100000"],
+    ["firstmo", "--k", "2", "--d", "1" + "0" * 30, "--n", "3", "--format", "json"],
     ["gen", "--n", "3", "--k", "3", "--d", "3", "--seed", "0", "--simple", "--out",
      "{tmp}/simple.txt", "--max-retries", "0"],
     ["gen", "--n", "3", "--k", "3", "--d", "3", "--seed", "0", "--simple", "--out",
@@ -147,7 +159,36 @@ def _host() -> dict:
     }
 
 
+def diff(entries: list[dict]) -> int:
+    """Print how entries differ from the committed file; the count of differences."""
+    with open(CORPUS, encoding="utf-8") as fh:
+        old = {tuple(case["argv"]): case for case in json.load(fh)["cases"]}
+    differ = 0
+    for now in entries:
+        was = old.pop(tuple(now["argv"]), None)
+        if was == now:
+            continue
+        differ += 1
+        if was is None:
+            print("new: " + " ".join(now["argv"]))
+            continue
+        print("changed: " + " ".join(now["argv"]))
+        if was["exit"] != now["exit"]:
+            print(f"  exit: {was['exit']} -> {now['exit']}")
+        for field in ("stdout", "stderr"):
+            old_lines, new_lines = was[field].splitlines(), now[field].splitlines()
+            for line in difflib.unified_diff(old_lines, new_lines, field, field, lineterm=""):
+                print("  " + line)
+    for argv in old:
+        differ += 1
+        print("dropped: " + " ".join(argv))
+    return differ
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true", help="print differences, write nothing")
+    args = parser.parse_args()
     entries = []
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CASES:
@@ -155,6 +196,8 @@ def main() -> None:
             entries.append(run(argv, tmp))
             print(f"{time.perf_counter() - start:7.3f} s  exit {entries[-1]['exit']}  "
                   + " ".join(argv), file=sys.stderr)
+    if args.diff:
+        sys.exit(1 if diff(entries) else 0)
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump({**_host(), "cases": entries}, fh, indent=1, ensure_ascii=False)
         fh.write("\n")

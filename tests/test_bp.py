@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,10 +89,39 @@ def test_psi_dot_exact_rationals():
 
 
 def test_psi_hat_rejects_pole():
-    with pytest.raises(ValueError):
-        psi_hat(3, 1.0)
-    with pytest.raises(ValueError):
-        psi_hat(3, np.array([0.3, 1.0]))
+    # every input kind psi_hat takes gives the one error at x = 1
+    for one in (
+        1.0,
+        np.float64(1.0),
+        np.array(1.0),
+        np.array([0.3, 1.0]),
+        Fraction(1),
+        mpmath.mpf(1),
+        mpmath.iv.mpf(1),
+    ):
+        with pytest.raises(ValueError, match=r"^psi_hat undefined at x = 1$"):
+            psi_hat(3, one)
+
+
+def test_psi_hat_values_of_every_input_kind():
+    # the pole guard leaves each value as the bare formula gives it
+    def formula(k, x):
+        xk = x ** (k - 1)
+        return (1 - 2 * xk) / (1 - xk)
+
+    xs = np.array([0.0, 0.4375, 0.5, 0.9])
+    for k in (3, 4, 7):
+        assert np.array_equal(psi_hat(k, xs), formula(k, xs))
+        for x in xs:
+            assert psi_hat(k, float(x)) == formula(k, float(x))
+            assert psi_hat(k, x) == formula(k, x) and type(psi_hat(k, x)) is np.float64
+            assert psi_hat(k, mpmath.mpf(x)) == formula(k, mpmath.mpf(x))
+        assert psi_hat(k, np.array(0.4375)) == formula(k, 0.4375)
+        assert psi_hat(k, Fraction(7, 16)) == formula(k, Fraction(7, 16))
+        box = mpmath.iv.mpf([0.4, 0.5])
+        assert psi_hat(k, box)._mpi_ == formula(k, box)._mpi_
+        # an interval that straddles 1 is not the point 1, so it is not refused
+        assert psi_hat(k, mpmath.iv.mpf([0.9, 1.1])) is not None
 
 
 def test_psi_derivative_rejects_zero():
@@ -143,8 +173,8 @@ def test_fixed_point_solver_options():
         max_derivative=None,
         iteration_gap=3.0,
     ) or bare.x == pytest.approx(full.x, abs=1e-12)
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError):
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve_fixed_point(p, tol=tol)
     # a tol below the float spacing stops at adjacent floats
     a, b = solve_fixed_point(p, tol=1e-300, check=False).bracket

@@ -1,10 +1,12 @@
 """Unit tests for the interval-arithmetic inequality certificates."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -372,3 +374,66 @@ def test_interval_contexts_built_once_per_precision(monkeypatch):
     for prec in precs:
         iv = certificates._interval_context(prec)
         assert iv.prec == prec and any(iv is ctx for ctx in built)
+
+
+def _generic_endpoints(iv, x):
+    """(a, b) of x by mpmath's own interval conversion, or the error it raises."""
+    try:
+        return MPIntervalContext.convert(iv, x)._mpi_
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("prec", (86, 166, 3325))
+def test_exact_operands_convert_as_mpmath_does(prec):
+    iv = certificates._interval_context(prec)
+    ints = [0, 1, -1, 2**prec - 1, 2**prec + 1, -(2**prec - 1), -(2**prec + 1)]
+    ints += [10**400, -(10**400)]
+    floats = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1 / 3, sys.float_info.max, math.inf, -math.inf]
+    floats += [-sys.float_info.max]
+    for x in ints + floats:
+        assert iv.convert(x)._mpi_ == _generic_endpoints(iv, x), x
+    # NaN takes mpmath's path, which widens it to the whole line
+    nan = iv.convert(math.nan)
+    assert nan._mpi_ == _generic_endpoints(iv, math.nan)
+    assert (float(nan.a), float(nan.b)) == (-math.inf, math.inf)
+
+
+def test_other_operands_take_the_generic_conversion(monkeypatch):
+    seen = []
+    generic = MPIntervalContext.convert
+
+    def counting(ctx, x):
+        seen.append(x)
+        return generic(ctx, x)
+
+    monkeypatch.setattr(MPIntervalContext, "convert", counting)
+    iv = certificates._interval_context(86)
+    others = [True, False, np.float64(0.1), np.int64(7), "0.1", math.nan, [1, 2], iv.mpf(3)]
+    for x in others:
+        try:
+            got = iv.convert(x)._mpi_
+        except NotImplementedError:  # mpmath takes no numpy integer
+            got = NotImplementedError
+        assert got == _generic_endpoints(iv, x), x
+    assert len(seen) == 2 * len(others)
+    assert all(a is b for a, b in zip(seen[::2], others))
+    iv.convert(3)
+    iv.convert(0.5)
+    assert len(seen) == 2 * len(others)
+
+
+def test_certificates_send_no_exact_operand_to_the_generic_conversion(monkeypatch):
+    # before the direct path one verify_all() sent about 1,250 ints there
+    exact = []
+    generic = MPIntervalContext.convert
+
+    def counting(ctx, x):
+        if type(x) is int or (type(x) is float and x == x):
+            exact.append(x)
+        return generic(ctx, x)
+
+    monkeypatch.setattr(MPIntervalContext, "convert", counting)
+    assert all(r.passed for r in verify_all())
+    assert certify_ceil_d_star(13, 36901).passed
+    assert exact == []

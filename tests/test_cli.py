@@ -436,9 +436,19 @@ ENDS_CLEANLY = (
     (["fixpoint", "--k", "1100", "--d", "5"], 1),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "1e-300"], 2),
     (["fixpoint", "--k", "3", "--d", "7", "--tol", "nan"], 1),
+    # an infinite tol once returned the bracket's midpoint with exit 0
+    (["fixpoint", "--k", "3", "--d", "7", "--tol", "inf"], 1),
+    (["dstar", "--k", "3", "--tol", "inf"], 1),
+    (["interp", "--k", "3", "--d", "7.4", "--betas", "16", "--tol", "inf"], 1),
+    # phi's float path takes only message weights, and never prints nan
+    (["phi", "--k", "3", "--d", "7", "--x", "-0.5"], 1),
+    (["phi", "--k", "3", "--d", "7", "--x", "1e308"], 1),
+    (["phi", "--k", "3", "--d", "inf", "--x", "0.4"], 1),
     (["firstmo", "--k", "3", "--d", "3", "--n", "0"], 1),
     (["firstmo", "--k", "3", "--d", "0", "--n", "3"], 1),
     (["firstmo", "--k", "3", "--d", "3", "--n", "100000"], 1),
+    # JSON once built the closed-form E Z_nae before the half-edge limit
+    (["firstmo", "--k", "2", "--d", "1" + "0" * 30, "--n", "3", "--format", "json"], 1),
     (GEN_SIMPLE + ["--max-retries", "0"], 1),
     (GEN_SIMPLE + ["--max-retries", "-5"], 1),
     (["interp", "--k", "5", "--d", "52", "--betas", "16", "--model", "coloring"], 2),

@@ -101,6 +101,13 @@ def test_ratio_scan_k3_d7():
         assert 0.0 < r.ratio < 1.0
 
 
+def test_ratio_scan_refuses_past_the_slot_limit_first():
+    # at m = 1.5e30 the exact E Z_nae would outgrow memory, so the
+    # half-edge limit must be checked before it is built
+    with pytest.raises(ValueError, match="k\\*m <= 3000 half-edges"):
+        ratio_scan(2, 10**30, [3])
+
+
 def test_ratio_scan_k4_d20():
     ratios = [r.ratio for r in ratio_scan(4, 20, [40, 80])]
     assert ratios[0] == pytest.approx(0.3285500115789405, rel=1e-13)
@@ -146,8 +153,8 @@ def test_lagrange_lambda_values():
     assert lagrange_lambda(0.52, 3) == pytest.approx(0.16111934914306403, abs=1e-10)
     with pytest.raises(ValueError):
         lagrange_lambda(0.3, 3)
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError):
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             lagrange_lambda(0.45, 3, tol=tol)
     # a tol below the float spacing stops at adjacent floats
     assert lagrange_lambda(0.45, 3, tol=1e-300) == pytest.approx(

@@ -44,6 +44,23 @@ def test_phi_rejects_bad_log_arguments():
         phi(ModelParams(3, 7.0), 0.9)
 
 
+def test_phi_rejects_what_is_not_a_message_weight():
+    # at odd k every log argument is positive for x < 0, and a float x near
+    # 1e308 overflows x**k: both are refused before the powers
+    for x in (-0.5, -1e308, 1e308, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"x is not a message weight in \[0, 1\]"):
+            phi(ModelParams(3, 7.0), x)
+    assert phi(ModelParams(3, 7.0), 0.0) == 0.0
+    assert phi(ModelParams(3, 7.0), -0.0) == 0.0
+
+
+def test_phi_rejects_a_nan_value():
+    # d = inf, or 1/d overflowing at d = 5e-324, makes an inf * 0 term
+    for d, x in ((math.inf, 0.0), (math.inf, 0.4), (5e-324, 0.0), (5e-324, 1e-9)):
+        with pytest.raises(ValueError, match="its float value is nan"):
+            phi(ModelParams(3, d), x)
+
+
 def test_phi_star_at_known_point():
     value = phi_star(ModelParams(3, 7.4))
     assert value == pytest.approx(-0.049166538444465502, abs=1e-13)
@@ -105,8 +122,8 @@ def test_d_star_pinned_and_cheap(k, monkeypatch):
 
 
 def test_d_star_rejects_bad_tol():
-    for tol in (-1e-9, 0.0, math.nan):
-        with pytest.raises(ValueError):
+    for tol in (-1e-9, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             d_star(3, tol=tol)
 
 
