@@ -237,26 +237,18 @@ def _clause_pin_patterns(inst: NaeInstance):
 
     The clause is violated iff x_v XOR L agrees across slots, i.e. x_v = L
     on every slot (all-zero side) or x_v = 1-L (all-one side).  A repeated
-    variable with clashing required bits kills that side.  Each surviving
-    pattern is a (vars, bits) pair over the clause's distinct variables.
+    variable with clashing literals kills both sides at once; otherwise the
+    all-one side is the all-zero side with its bits complemented.  Each
+    pattern is a (vars, bits) pair over the clause's sorted distinct variables.
     """
     patterns = []
     for cl, li in zip(inst.clauses, inst.literals):
-        sides = []
-        for flip in (0, 1):
-            need: dict[int, int] = {}
-            ok = True
-            for v, lit in zip(cl, li):
-                bit = lit ^ flip
-                if need.setdefault(v, bit) != bit:
-                    ok = False
-                    break
-            if ok:
-                items = sorted(need.items())
-                sides.append(
-                    (tuple(v for v, _ in items), tuple(b for _, b in items))
-                )
-        patterns.append(tuple(sides))
+        need: dict[int, int] = {}
+        if all(need.setdefault(v, lit) == lit for v, lit in zip(cl, li)):
+            vars_, bits = zip(*sorted(need.items()))
+            patterns.append(((vars_, bits), (vars_, tuple(b ^ 1 for b in bits))))
+        else:
+            patterns.append(())
     return patterns
 
 

@@ -4,12 +4,14 @@ E Z under the not-all-equal model has the closed form 2^n (1 - 2^{1-k})^m.
 Under the coloring model (all literals zero) the count splits by the number
 of 1-colored variables: conditioned on t of n variables colored 1, the
 edge pattern is exchangeable and the survival probability p_gamma is a
-conditioned-binomial quantity computed by exact integer convolution.  The
-tilted clause law and the Lagrange map lambda(gamma) give the variational
-form g_alpha whose gap below f_alpha controls the col/nae ratio.
+conditioned-binomial quantity read off the slot polynomial, which
+np.convolve builds over exact Python ints.  The tilted clause law and the
+Lagrange map lambda(gamma) give the variational form g_alpha whose gap
+below f_alpha controls the col/nae ratio.
 
 Every count is exact rational at every size the slot convolution admits
-(k*m <= SLOT_LIMIT half-edges); only the reported ratio is a float.
+(k*m <= SLOT_LIMIT half-edges), a cap E Z_nae keeps too; only the reported
+ratio is a float.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ __all__ = [
 ]
 
 # Largest k*m (= n*d half-edges) the slot-count convolution accepts.  It costs
-# O((km)^2) big-integer operations: 0.4 s at k = 3, m = 1000 and 1.6 s at
-# k = 20, m = 150, against 2.6 s at k = 3, m = 2000 (Python 3.11, one core).
+# O((km)^2) big-integer operations: 0.16 s at k = 3, m = 1000 and 0.5 s at
+# k = 20, m = 150, against 1.1 s at k = 3, m = 2000 (Python 3.11, 2-core Xeon).
 SLOT_LIMIT = 3000
 
 
@@ -100,9 +102,15 @@ class FirstMomentReport:
             )
 
 
+def _check_half_edges(k: int, m: int) -> None:
+    if k * m > SLOT_LIMIT:
+        raise ValueError(f"exact first moments need k*m <= {SLOT_LIMIT} half-edges, got {k * m}")
+
+
 def ez_nae(n: int, k: int, d: int) -> Fraction:
-    """Expected solution count 2^n (1 - 2^{1-k})^m, exactly."""
+    """Expected solution count 2^n (1 - 2^{1-k})^m, exactly, for k*m <= SLOT_LIMIT."""
     m = check_size(n, k, d)
+    _check_half_edges(k, m)
     return Fraction(2) ** n * (1 - Fraction(2) ** (1 - k)) ** m
 
 
@@ -113,35 +121,27 @@ def _interior_slot_counts(k: int, m: int) -> tuple[int, ...]:
     Entry s counts the ways to pick, for each of m clauses, a nonempty
     proper subset of its k slots, with s slots picked in total.  One
     clause contributes sum_{j=1}^{k-1} C(k,j) z^j; the m-fold product is
-    built by repeated convolution against that sparse factor.
+    m calls of np.convolve on object arrays, so the ints stay exact.
     """
-    if k * m > SLOT_LIMIT:
-        raise ValueError(f"exact first moments need k*m <= {SLOT_LIMIT} half-edges, got {k * m}")
-    base = [math.comb(k, j) for j in range(k)]
-    base[0] = 0
-    poly = [1]
+    _check_half_edges(k, m)
+    clause = np.array([0] + [math.comb(k, j) for j in range(1, k)], dtype=object)
+    poly = np.ones(1, dtype=object)
     for _ in range(m):
-        out = [0] * (len(poly) + k - 1)
-        for j in range(1, k):
-            c = base[j]
-            for s, w in enumerate(poly):
-                if w:
-                    out[s + j] += c * w
-        poly = out
+        poly = np.convolve(poly, clause)
     return tuple(poly)
 
 
 def _colored_slot_total(n: int, m: int, k: int, gamma) -> int:
     gamma = Fraction(gamma)
-    if not 0 <= gamma <= 1:
+    p, q = gamma.numerator, gamma.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"gamma must lie in [0,1], got {gamma}")
-    t = gamma * n
-    if t.denominator != 1:
-        raise ValueError(f"n*gamma = {t} is not an integer")
-    s = gamma * k * m
-    if s.denominator != 1:
-        raise ValueError(f"k*m*gamma = {s} is not an integer")
-    return int(s)
+    if p * n % q:
+        raise ValueError(f"n*gamma = {gamma * n} is not an integer")
+    s, rest = divmod(p * k * m, q)
+    if rest:
+        raise ValueError(f"k*m*gamma = {gamma * k * m} is not an integer")
+    return s
 
 
 def p_gamma(n: int, m: int, k: int, gamma) -> Fraction:
@@ -162,16 +162,10 @@ def p_gamma(n: int, m: int, k: int, gamma) -> Fraction:
 def ez_col(n: int, k: int, d: int) -> Fraction:
     """Expected proper 2-coloring count: sum_t C(n,t) p_{t/n}, exactly.
 
-    The t-th summand is C(n,t) W[t*d] / C(nd, t*d), with W the interior
-    slot counts of the m clauses.
+    The t-th summand is the contribution row that `rcsp firstmo` prints.
     """
     m = check_size(n, k, d)
-    counts = _interior_slot_counts(k, m)
-    return sum(
-        Fraction(math.comb(n, t) * (counts[t * d] if t * d < len(counts) else 0),
-                 math.comb(n * d, t * d))
-        for t in range(n + 1)
-    )
+    return sum(math.comb(n, t) * p_gamma(n, m, k, Fraction(t, n)) for t in range(n + 1))
 
 
 def _clause_weights(k: int, gamma: float, lam: float) -> tuple[float, list[float]]:
@@ -266,8 +260,6 @@ def ratio_scan(k: int, d: int, n_list) -> list[FirstMomentReport]:
     reports = []
     for n in n_list:
         m = check_size(n, k, d)
-        # ez_col first: it refuses k*m past SLOT_LIMIT, where ez_nae's exact
-        # powers would outgrow memory (m = 10^30 at k = 2)
         col = ez_col(n, k, d)
         nae = ez_nae(n, k, d)
         reports.append(

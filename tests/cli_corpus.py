@@ -83,6 +83,12 @@ CASES = (
     ["gen", "--n", "9", "--k", "3", "--d", "3", "--seed", "7", "--out", "{tmp}/nae.txt"],
     ["solve", "{tmp}/nae.txt", "--format", "json"],
     ["z", "{tmp}/nae.txt", "--beta", "0.5", "--format", "json"],
+    # None (one sample has no std) and non-finite cells, in CSV and JSON
+    ["concentrate", "--k", "3", "--d", "4", "--n", "12", "--beta", "1", "--samples", "1",
+     "--seed", "5", "--model", "coloring"],
+    ["concentrate", "--k", "3", "--d", "4", "--n", "12", "--beta", "1", "--samples", "1",
+     "--seed", "5", "--model", "coloring", "--format", "json"],
+    ["interp", "--k", "3", "--d", "7.4", "--betas", "0", "--format", "json"],
     # every ENDS_CLEANLY case of test_cli.py that ends in under a second
     ["dstar", "--k", "22"],
     ["dstar", "--k", "3", "--tol", "1e-300"],

@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of the analytic subcommands' numeric flags.
+"""Hypothesis fuzz of the numeric flags of the analytic subcommands and interp.
 
 Each example runs `rcsp` in its own process, one at a time, under a timeout
 and an address-space limit that the child sets on itself.  Whatever the
@@ -43,6 +43,17 @@ COMMANDS = {
 }
 FORMAT = ("--format", ("json",), True)
 
+# interp's flags at the k = 3 and k = 4 window ends, the float extremes, 0,
+# 65536 and (in a list) an empty item
+EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "5e-324", "1e308", "65536")
+INTERP = (
+    ("--k", ("-1", "0", "3", "4", "65536", "nan"), False),
+    ("--d", EDGES + ("6.74", "7.5", "16.7", "22.18"), False),
+    ("--betas", EDGES + ("16,,64", "0.5,16,"), False),
+    ("--lam", EDGES, True),
+    ("--tol", EDGES, True),
+)
+
 TIMEOUT_S = 60
 # the child limits its own address space before it imports rcsp
 CLI = (
@@ -56,8 +67,8 @@ def _flag(flag, values, optional):
     return st.one_of(st.just([]), given_) if optional else given_
 
 
-def _argv(cmd):
-    return st.tuples(*(_flag(*spec) for spec in (*COMMANDS[cmd], FORMAT))).map(
+def _argv(cmd, specs):
+    return st.tuples(*(_flag(*spec) for spec in (*specs, FORMAT))).map(
         lambda parts: [cmd, *(arg for part in parts for arg in part)]
     )
 
@@ -70,9 +81,7 @@ def _message_lines(stderr: str) -> list[str]:
     return lines
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(sorted(COMMANDS)).flatmap(_argv))
-def test_analytic_flags_end_cleanly(argv):
+def _ends_cleanly(argv):
     src = os.path.dirname(os.path.dirname(rcsp.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -86,3 +95,15 @@ def test_analytic_flags_end_cleanly(argv):
     assert "Traceback" not in proc.stderr
     assert len(_message_lines(proc.stderr)) == (1 if proc.returncode else 0), proc.stderr
     assert (proc.stdout == "") == bool(proc.returncode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)).flatmap(lambda cmd: _argv(cmd, COMMANDS[cmd])))
+def test_analytic_flags_end_cleanly(argv):
+    _ends_cleanly(argv)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_argv("interp", INTERP))
+def test_interp_flags_end_cleanly(argv):
+    _ends_cleanly(argv)

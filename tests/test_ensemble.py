@@ -68,6 +68,11 @@ def test_instance_validation():
                     model="coloring")
     with pytest.raises(ValueError):
         tiny_instance(model="xor")
+    with pytest.raises(ValueError, match="^clause or literal row count differs from m$"):
+        NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=((0, 0), (0, 0)),
+                    model="nae")
+    with pytest.raises(ValueError, match="^clause 0 does not have 2 slots$"):
+        NaeInstance(n=2, m=1, k=2, d=1, clauses=((0, 1),), literals=((0,),), model="nae")
 
 
 def test_sampling_is_deterministic():
@@ -227,6 +232,39 @@ def test_blocks_clashing_bits_and_uint16(monkeypatch):
     # m = 70000 needs uint32: in uint16 the counts wrapped to 4464 and 34924
     wider = sample_instance(2, 2, 70000, 1, model="coloring")
     assert violation_histogram(wider) == brute_histogram(wider)
+
+
+def _two_flip_pin_patterns(inst):
+    # reference: each side of each clause built in its own flip loop
+    patterns = []
+    for cl, li in zip(inst.clauses, inst.literals):
+        sides = []
+        for flip in (0, 1):
+            need = {}
+            ok = True
+            for v, lit in zip(cl, li):
+                bit = lit ^ flip
+                if need.setdefault(v, bit) != bit:
+                    ok = False
+                    break
+            if ok:
+                items = sorted(need.items())
+                sides.append((tuple(v for v, _ in items), tuple(b for _, b in items)))
+        patterns.append(tuple(sides))
+    return patterns
+
+
+@pytest.mark.parametrize("model", ("nae", "coloring"))
+def test_clause_pin_patterns_match_two_flip_reference(model):
+    repeats = clashes = 0
+    for seed in range(400):
+        inst = sample_instance(6, 3, 2 + seed % 4, seed, model=model)
+        got = en._clause_pin_patterns(inst)
+        assert got == _two_flip_pin_patterns(inst)
+        repeats += sum(len(set(cl)) < inst.k for cl in inst.clauses)
+        clashes += got.count(())
+    assert repeats > 0
+    assert (clashes > 0) == (model == "nae")  # all-zero literals never clash
 
 
 @st.composite

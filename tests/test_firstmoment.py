@@ -19,6 +19,7 @@ from rcsp.firstmoment import (
     g_alpha,
     lagrange_lambda,
     p_gamma,
+    _interior_slot_counts,
     ratio_scan,
     tilted_clause_law,
     xi,
@@ -42,10 +43,40 @@ def test_p_gamma_frozen_values():
 
 
 def test_p_gamma_conditioning_errors():
-    with pytest.raises(ValueError):
-        p_gamma(3, 3, 3, Fraction(1, 4))  # n*gamma not an integer
-    with pytest.raises(ValueError):
-        p_gamma(3, 3, 3, Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"^n\*gamma = 3/4 is not an integer$"):
+        p_gamma(3, 3, 3, Fraction(1, 4))
+    for gamma in (Fraction(3, 2), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=rf"^gamma must lie in \[0,1\], got {gamma}$"):
+            p_gamma(3, 3, 3, gamma)
+    with pytest.raises(ValueError, match=r"^k\*m\*gamma = 3/2 is not an integer$"):
+        p_gamma(2, 1, 3, Fraction(1, 2))  # n*gamma = 1, but 3 slots at gamma 1/2
+    for m, k in ((-1, 3), (3, 1)):
+        with pytest.raises(ValueError, match=rf"^need m >= 0 and k >= 2, got m={m} k={k}$"):
+            p_gamma(3, m, k, Fraction(1, 3))
+
+
+def _slot_counts_by_inclusion_exclusion(k, m, s):
+    # ((1+z)^k - 1 - z^k)^m expanded by the multinomial theorem over
+    # i + a + b = m factors (1+z)^k, -1 and -z^k
+    total = 0
+    for i in range(m + 1):
+        for a in range(m - i + 1):
+            b = m - i - a
+            if s >= k * b:
+                multinomial = math.factorial(m) // (
+                    math.factorial(i) * math.factorial(a) * math.factorial(b)
+                )
+                total += multinomial * (-1) ** (a + b) * math.comb(k * i, s - k * b)
+    return total
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_slot_counts_match_inclusion_exclusion(k):
+    for m in range(9):
+        counts = _interior_slot_counts(k, m)
+        assert len(counts) == m * (k - 1) + 1
+        expected = [_slot_counts_by_inclusion_exclusion(k, m, s) for s in range(k * m + 1)]
+        assert list(counts) + [0] * m == expected
 
 
 @given(
@@ -106,6 +137,13 @@ def test_ratio_scan_refuses_past_the_slot_limit_first():
     # half-edge limit must be checked before it is built
     with pytest.raises(ValueError, match="k\\*m <= 3000 half-edges"):
         ratio_scan(2, 10**30, [3])
+    with pytest.raises(ValueError, match=r"^exact first moments need k\*m <= 3000 half-edges, "
+                       r"got 3000000000000000000000000000000$"):
+        ez_nae(3, 2, 10**30)
+    # the cap itself is in scope, one clause more is not
+    assert ez_nae(1000, 3, 3) == Fraction(2) ** 1000 * Fraction(3, 4) ** 1000
+    with pytest.raises(ValueError, match="got 3003$"):
+        ez_nae(1001, 3, 3)
 
 
 def test_ratio_scan_k4_d20():
@@ -137,6 +175,8 @@ def test_tilted_law_validation():
         TiltedClauseLaw(gamma=0.5, lam=0.0, pmf=(0.5, 0.0, 0.5))
     with pytest.raises(ValueError):
         TiltedClauseLaw(gamma=0.5, lam=0.0, pmf=(0.5, 0.4))
+    with pytest.raises(ValueError, match=r"^need k >= 2, got 1$"):
+        tilted_clause_law(1, 0.5, 0.0)
     law = TiltedClauseLaw(gamma=0.5, lam=0.0, pmf=(0.5, 0.5))
     assert law.k == 3
     assert law.mean == 1.5

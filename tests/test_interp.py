@@ -42,6 +42,8 @@ def test_measure_validation():
         AtomicMeasure(atoms=((0.5, 0.5), (0.5, 0.5)))
     with pytest.raises(ValueError):
         AtomicMeasure(atoms=((0.3, 1.0),), symmetric=True)
+    with pytest.raises(ValueError, match="^log_pairs length must match atoms$"):
+        AtomicMeasure(atoms=((0.5, 1.0),), log_pairs=((-1.0, -1.0), (-1.0, -1.0)))
 
 
 def test_measure_log_pairs_derived():
@@ -69,6 +71,12 @@ def test_spec_validation():
         clause_message_law(3, POINT_HALF, ThetaSpec("nae", 1.0), literals=(0, 0.5, 1))
     with pytest.raises(ValueError, match="coloring requires all-zero literals"):
         clause_message_law(3, POINT_HALF, ThetaSpec("coloring", 1.0), literals=(0, 1, 0))
+    with pytest.raises(ValueError, match="^need 3 literal bits, got 2$"):
+        clause_message_law(3, POINT_HALF, ThetaSpec("nae", 1.0), literals=(0, 1))
+    # L0 and one literal vector per clause law: ceil(7.4) = 8 of them
+    with pytest.raises(ValueError, match="^need 8 clause literal vectors, got 7$"):
+        functional_exact(ModelParams(3, 7.4), POINT_HALF, ThetaSpec("nae", 1.0), 0.5,
+                         literals=((0, 0, 0), [(0, 0, 0)] * 7))
 
 
 def test_eta_cluster_structure():
@@ -126,6 +134,10 @@ def test_clause_law_validation():
         ClauseMessageLaw(beta=1.0, entries=((0.0, 0.0, 0.5),))
     with pytest.raises(ValueError):
         ClauseMessageLaw(beta=1.0, entries=((-2.0, 0.0, 1.0),))
+    with pytest.raises(ValueError, match="^law probabilities must be nonnegative$"):
+        ClauseMessageLaw(beta=1.0, entries=((0.0, 0.0, 1.5), (0.0, 0.0, -0.5)))
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        clause_message_law(1, POINT_HALF, ThetaSpec("nae", 1.0))
 
 
 def test_clause_law_budget():
@@ -139,6 +151,8 @@ def test_functional_lambda_domain():
     for lam in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             functional_exact(ModelParams(3, 7.0), POINT_HALF, spec, lam)
+        with pytest.raises(ValueError, match=rf"^lambda must lie in \(0,1\), got {lam}$"):
+            functional_monte_carlo(ModelParams(3, 7.0), POINT_HALF, spec, lam, 100, 0)
 
 
 def test_functional_beta_zero_is_ln2():
@@ -147,6 +161,10 @@ def test_functional_beta_zero_is_ln2():
         for d in (7.0, 7.4):
             value = functional_exact(ModelParams(3, d), POINT_HALF, spec, lam)
             assert abs(value - math.log(2.0)) < 1e-12
+        # every sample is the same 2^lam, so the estimate has no spread
+        value, stderr = functional_monte_carlo(ModelParams(3, 7.0), POINT_HALF, spec, lam, 100, 0)
+        assert abs(value - math.log(2.0)) < 1e-12
+        assert stderr == 0.0
 
 
 @pytest.mark.parametrize("d", (7.0, 7.2))
